@@ -18,7 +18,7 @@ from .oracles import (LemmaCheckReport, OracleLimits, edge_lemma_contract_check,
                       min_balanced_edge_separator)
 from .partition import (KtCertificate, Params, PartitionResult, RootedInstance,
                         RootedPartition, check_instance, induction_step,
-                        line_graph_tree_decomposition, p_value,
+                        line_graph_tree_decomposition,
                         partition_line_graph, validate_certificate,
                         validate_embedding, validate_partition)
 from .separator import (EdgeSeparatorResult, IsoperimetricWitness,
@@ -27,7 +27,7 @@ from .separator import (EdgeSeparatorResult, IsoperimetricWitness,
                         uniform_weights)
 from .tree_or_sep import (TreeOrSeparator, edge_tree_or_separator,
                           minimalize_edge_separator, vertex_tree_or_separator)
-from .treedecomp import (TreeDecomposition, attach_vertex, glue,
+from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
                          product_blowup, singleton, validate_decomposition,
                          width)
 

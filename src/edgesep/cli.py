@@ -24,11 +24,11 @@ from .formats import (emit_decomposition, emit_graph, format_fraction,
                       graph_digest, parse_decomposition, parse_graph,
                       parse_weights)
 from .graphs import Graph, components, line_graph, validate_model
-from .partition import (KtCertificate, Params, partition_line_graph,
-                        validate_certificate, validate_embedding,
-                        validate_partition)
-from .separator import (balanced_edge_separator, isoperimetric_witness,
-                        separator_from_partition, uniform_weights)
+from .partition import (KtCertificate, Params, RootedPartition,
+                        partition_line_graph, validate_certificate,
+                        validate_embedding, validate_partition)
+from .separator import (isoperimetric_witness, separator_from_partition,
+                        uniform_weights)
 from .treedecomp import TreeDecomposition, product_blowup, validate_decomposition, width
 
 SCHEMA = "edgesep-report/1"
@@ -323,62 +323,113 @@ def _cmd_verify(args) -> int:
             ok, why = False, "vertex coverage: declared vertex count mismatch"
     else:
         data = json.loads(text)
-        needed = {"model": "branch_sets", "partition": "parts",
-                  "separator": "edges"}[args.kind]
-        if needed not in data:
+        needed, decode, check = {
+            "model": ("branch_sets", _decode_model, _check_model),
+            "partition": ("parts", _decode_partition, _check_partition),
+            "separator": ("edges", _decode_separator, _check_separator)}[args.kind]
+        if not isinstance(data, dict) or needed not in data:
             ok, why = False, f"artifact: no {needed!r} field; wrong artifact kind?"
-        elif args.kind == "model":
-            ok, why = validate_model(g, [tuple(s) for s in data["branch_sets"]])
-            if ok and "t" in data and len(data["branch_sets"]) != data["t"]:
-                ok, why = False, f"certificate: expected {data['t']} branch sets"
-        elif args.kind == "partition":
-            ok, why = _verify_partition_json(g, data)
         else:
-            ok, why = _verify_separator_json(g, data)
+            try:
+                fields = decode(g, data)
+            except (AttributeError, LookupError, TypeError, ValueError,
+                    ZeroDivisionError) as exc:
+                # a field missing, mistyped or out of range (ParameterError
+                # included) is a defect of the artifact, not of the call
+                ok, why = False, (f"artifact: malformed {args.kind} artifact "
+                                  f"({type(exc).__name__}: {exc})")
+            else:
+                ok, why = check(g, *fields)
     _emit(args, _json({"schema": SCHEMA, "kind": "verify",
                        "artifact": args.kind, "ok": ok, "violation": why}))
     return 0 if ok else 1
 
 
-def _verify_partition_json(g: Graph, data):
-    from .partition import RootedPartition
-    t = data["params"]["t"]
-    params = Params.for_graph(g, t, c_sep=data["params"].get("c_sep"))
+# Artifact decoding: each _decode_* turns JSON into the typed values its
+# _check_* validates, raising on any field that is missing or mistyped.
+
+def _int(x, what: str) -> int:
+    if type(x) is not int:
+        raise TypeError(f"{what}: expected an integer, got {x!r}")
+    return x
+
+
+def _ints(xs, what: str, length=None) -> tuple:
+    if not isinstance(xs, list) or (length is not None and len(xs) != length):
+        raise TypeError(f"{what}: expected a list"
+                        + ("" if length is None else f" of {length}") + f", got {xs!r}")
+    return tuple(_int(x, what) for x in xs)
+
+
+def _lists(xs, what: str, length=None) -> tuple:
+    if not isinstance(xs, list):
+        raise TypeError(f"{what}: expected a list, got {xs!r}")
+    return tuple(_ints(x, what, length) for x in xs)
+
+
+def _decode_model(g: Graph, data):
+    t = data.get("t")
+    return _lists(data["branch_sets"], "branch_sets"), None if t is None else _int(t, "t")
+
+
+def _check_model(g: Graph, branch_sets, t):
+    ok, why = validate_model(g, branch_sets)
+    if ok and t is not None and len(branch_sets) != t:
+        ok, why = False, f"certificate: expected {t} branch sets"
+    return ok, why
+
+
+def _decode_partition(g: Graph, data):
+    p = data["params"]
+    c_sep = p.get("c_sep")
+    if c_sep is not None and _int(c_sep, "params.c_sep") < 1:
+        raise ParameterError("c_sep must be at least 1")
+    params = Params.for_graph(g, _int(p["t"], "params.t"), c_sep=c_sep)
     d = data["decomposition"]
+    designated, root_clique = d.get("designated"), d.get("root_clique")
     decomp = TreeDecomposition(
-        bags=tuple(tuple(b) for b in d["bags"]),
-        tree_edges=tuple(tuple(e) for e in d["tree_edges"]),
-        designated=d.get("designated"),
-        root_clique=tuple(d["root_clique"]) if d.get("root_clique") is not None else None,
+        bags=_lists(d["bags"], "decomposition.bags"),
+        tree_edges=_lists(d["tree_edges"], "decomposition.tree_edges", 2),
+        designated=None if designated is None else _int(designated, "designated"),
+        root_clique=None if root_clique is None else _ints(root_clique, "root_clique"),
     )
     part = RootedPartition(
-        parts=tuple(tuple(p) for p in data["parts"]),
-        h_edges=tuple(tuple(e) for e in data["h_edges"]),
-        root=tuple(data["root_clique"]),
+        parts=_lists(data["parts"], "parts"),
+        h_edges=_lists(data["h_edges"], "h_edges", 2),
+        root=_ints(data["root_clique"], "root_clique"),
         decomp=decomp,
     )
+    emb = _lists(data["embedding"], "embedding", 2) if "embedding" in data else None
+    return part, params, emb
+
+
+def _check_partition(g: Graph, part, params, emb):
     ok, why = validate_partition(g, part, params)
-    if ok and "embedding" in data:
-        emb = tuple(tuple(e) for e in data["embedding"])
+    if ok and emb is not None:
         ok, why = validate_embedding(g, part, emb, params)
     return ok, why
 
 
-def _verify_separator_json(g: Graph, data):
-    f = set(data["edges"])
-    if not all(0 <= e < g.m for e in f):
-        return False, "separator: edge id out of range"
+def _decode_separator(g: Graph, data):
     weights = {}
     for entry in data["components"]:
         num, den = entry["weight"].split("/")
-        weights[tuple(entry["vertices"])] = Fraction(int(num), int(den))
+        weights[_ints(entry["vertices"], "components.vertices")] = Fraction(int(num), int(den))
+    bound = data.get("bound_used")
+    return (set(_ints(data["edges"], "edges")), weights,
+            None if bound is None else _int(bound, "bound_used"))
+
+
+def _check_separator(g: Graph, f, weights, bound):
+    if not all(0 <= e < g.m for e in f):
+        return False, "separator: edge id out of range"
     comps = components(g, banned_edges=f)
     if set(map(tuple, comps)) != set(weights):
         return False, "separator: recorded components disagree with G - F"
     for comp in comps:
         if weights[tuple(comp)] > Fraction(1, 2):
             return False, f"balance: component {comp[0]}... exceeds weight 1/2"
-    if "bound_used" in data and len(f) > data["bound_used"]:
+    if bound is not None and len(f) > bound:
         return False, "size: |F| exceeds the recorded bound"
     return True, None
 

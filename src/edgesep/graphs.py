@@ -56,13 +56,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adj[v]
-
-    def incident(self, v: int) -> EdgeSet:
-        """Ids of edges incident to v, sorted ascending."""
-        return tuple(sorted(self.adj_eids[v]))
-
     def edge_id(self, u: int, v: int) -> int:
         return self._index[(u, v) if u < v else (v, u)]
 

@@ -14,10 +14,10 @@ re-indexed, so parts, models and certificates all refer to the input graph.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import ParameterError
 from .exact import SqrtExpr
@@ -25,9 +25,8 @@ from .graphs import (Graph, VertexSet, components, edges_between,
                      induced_edge_ids, line_graph, max_degree, neighborhood,
                      validate_model)
 from .tree_or_sep import edge_tree_or_separator, minimalize_edge_separator
-from .treedecomp import (EMPTY, TreeDecomposition, attach_vertex, glue,
-                         product_blowup, relabel, singleton,
-                         validate_decomposition, width)
+from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
+                         product_blowup, validate_decomposition, width)
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,6 @@ class Params:
         return SqrtExpr.sqrt(Fraction(self.c_sep * (h - 1) * self.m, self.delta))
 
 
-def p_value(params: Params) -> float:
-    """sqrt(c_sep*(t-3)*delta*m) + delta."""
-    return params.p_value()
-
-
 @dataclass(frozen=True)
 class KtCertificate:
     """Explicit K_t-model witnessing that the input had a K_t minor."""
@@ -127,6 +121,146 @@ EngineOutcome = Union[RootedPartition, KtCertificate]
 
 
 # ---------------------------------------------------------------- recursion
+#
+# The recursion runs as one loop over an explicit stack of calls and
+# continuations, so its depth costs heap, not interpreter frames.  Every call
+# owns the vertex set of its C and hands it on to at most one child, which
+# shrinks it in place.  H and its decomposition grow in a single builder that
+# is frozen once; the ids it hands out are the ones the textbook formulation
+# (each call returns its own partition, parents relabel and glue) produces.
+
+class _Builder:
+    """Parts, H-edges and a ``Decomposition`` of H, appended in recursion order.
+
+    Root edge sets live in slots.  A slot becomes a part the first time its id
+    is needed, which is where relabel-and-merge would have numbered it; later
+    uses of the slot map to that part, as a merge at the root would.
+    """
+
+    def __init__(self):
+        self.parts: list = []
+        self.h_edges: set = set()
+        self.decomp = Decomposition()
+        self._slot_edges: list = []
+        self._slot_pid: list = []
+
+    def slot(self, edges: frozenset) -> int:
+        self._slot_edges.append(edges)
+        self._slot_pid.append(None)
+        return len(self._slot_pid) - 1
+
+    def pids(self, slots) -> tuple:
+        out = []
+        for s in slots:
+            pid = self._slot_pid[s]
+            if pid is None:
+                pid = self._slot_pid[s] = len(self.parts)
+                self.parts.append(tuple(sorted(self._slot_edges[s])))
+                self._slot_edges[s] = None
+            out.append(pid)
+        return tuple(out)
+
+    def complete(self, slots) -> int:
+        """Complete H on the given root parts, in one bag."""
+        ids = self.pids(slots)
+        self.h_edges.update((a, b) if a < b else (b, a)
+                            for i, a in enumerate(ids) for b in ids[i + 1:])
+        return self.decomp.add(ids)
+
+    def attach(self, node: int, root_slots, slot: int) -> int:
+        """New part adjacent to every root part, as a leaf bag under ``node``."""
+        clique = self.pids(root_slots)
+        new = self.pids((slot,))[0]
+        self.h_edges.update((pid, new) if pid < new else (new, pid) for pid in clique)
+        return attach_vertex(self.decomp, node, new, clique)
+
+    def glue(self, first: int, second: int, shared_slots) -> int:
+        return glue(self.decomp, first, second, self.pids(shared_slots))
+
+    def freeze(self, root_slots, node: Optional[int]) -> RootedPartition:
+        return RootedPartition(parts=tuple(self.parts),
+                               h_edges=tuple(sorted(self.h_edges)),
+                               root=self.pids(root_slots), decomp=self.decomp.freeze(node))
+
+
+class _Piece:
+    """An owned, connected vertex set that only ever shrinks.
+
+    Its least vertex therefore only grows: a sorted list, built on first use,
+    and a cursor that moves forward over vertices since removed answer it.
+    """
+
+    __slots__ = ("verts", "order", "at")
+
+    def __init__(self, verts: set):
+        self.verts = verts
+        self.order: Optional[list] = None
+        self.at = 0
+
+    def least(self) -> int:
+        if self.order is None:
+            self.order = sorted(self.verts)
+        while self.order[self.at] not in self.verts:
+            self.at += 1
+        return self.order[self.at]
+
+
+def _split(g: Graph, piece: _Piece, around) -> list:
+    """Pieces left of ``piece`` after a connected set beside ``around`` left it.
+
+    Every piece holds a vertex of ``around``.  One BFS per such vertex runs
+    interleaved; searches that meet merge, and the loop stops once a single
+    search still runs.  The pieces the others closed are cut out of
+    ``piece``, which, kept rather than copied, is the last one.  This is the
+    smaller-side search of Even and Shiloach, "An on-line edge-deletion
+    problem" (J. ACM 1981).  Pieces come ordered by smallest vertex, as
+    ``components`` orders them.
+    """
+    c = piece.verts
+    seeds = sorted(c.intersection(around))
+    if len(seeds) <= 1:
+        return [piece]
+    owner = dict(zip(seeds, range(len(seeds))))
+    alias = list(range(len(seeds)))
+    members = [[s] for s in seeds]
+    queues = [deque((s,)) for s in seeds]
+    live = dict.fromkeys(range(len(seeds)))     # running searches, in order
+    closed = []
+    while len(live) > 1:
+        for i in list(live):
+            if i not in live or len(live) == 1:
+                continue
+            if not queues[i]:
+                del live[i]
+                closed.append(members[i])
+                continue
+            v = queues[i].popleft()
+            for u in g.adj[v]:
+                if u not in c:
+                    continue
+                j = owner.get(u)
+                if j is None:
+                    owner[u] = i
+                    members[i].append(u)
+                    queues[i].append(u)
+                    continue
+                while alias[j] != j:
+                    j = alias[j]
+                if j != i:          # same piece: fold the smaller search in
+                    if len(members[i]) < len(members[j]):
+                        i, j = j, i
+                    alias[j] = i
+                    members[i] += members[j]
+                    queues[i] += queues[j]
+                    members[j] = queues[j] = None
+                    del live[j]
+    pieces = [piece]
+    for verts in closed:
+        c.difference_update(verts)
+        pieces.append(_Piece(set(verts)))
+    pieces.sort(key=_Piece.least)
+    return pieces
+
 
 def _edges_touching(g: Graph, verts, c_set) -> frozenset:
     """C-edges with at least one end in ``verts`` (both ends inside C)."""
@@ -138,67 +272,49 @@ def _edges_touching(g: Graph, verts, c_set) -> frozenset:
     return frozenset(out)
 
 
-def _complete_on(root_sets: Sequence[frozenset]) -> RootedPartition:
-    """Complete partition graph on the given parts, all of them rooted."""
-    parts = tuple(tuple(sorted(s)) for s in root_sets)
-    ids = tuple(range(len(parts)))
-    h_edges = tuple((i, j) for i in ids for j in ids if i < j)
-    return RootedPartition(parts=parts, h_edges=h_edges, root=ids,
-                           decomp=singleton(ids))
+class _Call(NamedTuple):
+    """One recursion instance: C as known-connected pieces, roots as slots."""
+
+    pieces: list
+    roots: tuple
+    models: tuple
+    nbrs: tuple
+    parent_measure: Optional[int]
 
 
-def _attach_part(base: RootedPartition, part_edges: frozenset):
-    """Append a new part adjacent to every root part of ``base``."""
-    new_pid = len(base.parts)
-    clique = tuple(sorted(base.root))
-    h_edges = set(base.h_edges)
-    for pid in base.root:
-        h_edges.add((pid, new_pid) if pid < new_pid else (new_pid, pid))
-    out = RootedPartition(
-        parts=base.parts + (tuple(sorted(part_edges)),),
-        h_edges=tuple(sorted(h_edges)),
-        root=base.root,
-        decomp=attach_vertex(base.decomp, new_pid, clique),
-    )
-    return out, new_pid
+class _Join:
+    """Child calls run in order; their nodes glue along the parts of ``shared``.
+
+    ``attach[j]``, when given, is a (root slots, slot) pair: the slot's part
+    is hung off child j's node before that node is glued.
+    """
+
+    def __init__(self, children: list, shared: tuple = (), attach=None):
+        self.todo = list(zip(children, attach or [None] * len(children)))[::-1]
+        self.shared = shared
+        self.attach = None
+        self.acc = None
+
+    def launch(self, stack) -> None:
+        call, self.attach = self.todo.pop()
+        stack.append(self)
+        stack.append(call)
+
+    def resume(self, out, node, stack):
+        if self.attach is not None:
+            node = out.attach(node, *self.attach)
+        self.acc = node if self.acc is None else out.glue(self.acc, node, self.shared)
+        if not self.todo:
+            return self.acc
+        self.launch(stack)
+        return None
 
 
-def _merge_at_root(acc: RootedPartition, nxt: RootedPartition) -> RootedPartition:
-    """Union of two partitions rooted at the same parts, glued at the root."""
-    mapping = {}
-    for i, pid in enumerate(nxt.root):
-        target = acc.root[i]
-        assert acc.parts[target] == nxt.parts[pid], "root parts disagree across a merge"
-        mapping[pid] = target
-    new_parts = list(acc.parts)
-    for pid, part in enumerate(nxt.parts):
-        if pid not in mapping:
-            mapping[pid] = len(new_parts)
-            new_parts.append(part)
-    h_edges = set(acc.h_edges)
-    for a, b in nxt.h_edges:
-        x, y = mapping[a], mapping[b]
-        if x != y:
-            h_edges.add((x, y) if x < y else (y, x))
-    merged = glue(acc.decomp, relabel(nxt.decomp, mapping), tuple(sorted(acc.root)))
-    return RootedPartition(parts=tuple(new_parts), h_edges=tuple(sorted(h_edges)),
-                           root=acc.root, decomp=merged)
-
-
-def _merge_disjoint(acc: RootedPartition, nxt: RootedPartition) -> RootedPartition:
-    """Disjoint union of partitions of separate components (empty shared clique)."""
-    off = len(acc.parts)
-    mapping = {pid: pid + off for pid in range(len(nxt.parts))}
-    h_edges = set(acc.h_edges)
-    h_edges.update((a + off, b + off) for a, b in nxt.h_edges)
-    merged = glue(acc.decomp, relabel(nxt.decomp, mapping), ())
-    return RootedPartition(parts=acc.parts + nxt.parts,
-                           h_edges=tuple(sorted(h_edges)), root=(), decomp=merged)
-
-
-def _step(g, line, params, c_set, roots, models, nbrs, parent_measure):
+def _enter(g, line, params, out: _Builder, call: _Call, stack):
+    """Start one call: its node, a certificate, or None after pushing work."""
+    pieces, roots, models, nbrs, parent_measure = call
     h = len(roots)
-    measure = 2 * len(c_set) + h
+    measure = 2 * sum(len(p.verts) for p in pieces) + h
     if parent_measure is not None:
         assert measure < parent_measure, "recursion measure failed to decrease"
     t = params.t
@@ -207,83 +323,86 @@ def _step(g, line, params, c_set, roots, models, nbrs, parent_measure):
     if h >= t:
         return KtCertificate(tuple(tuple(sorted(u)) for u in models[:t]), t)
 
-    comps = components(g, within=c_set)
-    if len(comps) > 1:
-        acc = None
-        for comp in comps:
-            sub = _step(g, line, params, frozenset(comp), roots, models, nbrs, measure)
-            if isinstance(sub, KtCertificate):
-                return sub
-            acc = sub if acc is None else _merge_at_root(acc, sub)
-        return acc
+    if len(pieces) > 1:
+        _Join([_Call([p], roots, models, nbrs, measure) for p in pieces],
+              roots).launch(stack)
+        return None
 
-    targets = [c_set & nb for nb in nbrs]       # A_i = V(C) ∩ N(U_i)
+    piece = pieces[0]
+    c = piece.verts
+    targets = [c & nb for nb in nbrs]       # A_i = V(C) ∩ N(U_i)
     empties = [i for i, a in enumerate(targets) if not a]
     assert len(empties) < h, "a proper C inside a connected component neighbors some U_i"
     if empties:
         k = empties[0]
-        sub = _step(g, line, params, c_set,
-                    roots[:k] + roots[k + 1:],
-                    models[:k] + models[k + 1:],
-                    nbrs[:k] + nbrs[k + 1:], measure)
-        if isinstance(sub, KtCertificate):
-            return sub
-        attached, new_pid = _attach_part(sub, roots[k])
-        return replace(attached, root=sub.root[:k] + (new_pid,) + sub.root[k:])
+        sub_roots = roots[:k] + roots[k + 1:]
+        _Join([_Call(pieces, sub_roots, models[:k] + models[k + 1:],
+                     nbrs[:k] + nbrs[k + 1:], measure)],
+              attach=[(sub_roots, roots[k])]).launch(stack)
+        return None
 
     # C connected and every A_i nonempty: (U_1..U_h, V(C)) is a K_{h+1}-model
     if h >= t - 1:
-        sets = tuple(tuple(sorted(u)) for u in models) + (tuple(sorted(c_set)),)
+        sets = tuple(tuple(sorted(u)) for u in models) + (tuple(sorted(c)),)
         return KtCertificate(sets, t)
 
-    if len(c_set) == 1:
-        return _complete_on(roots)
+    if len(c) == 1:
+        return out.complete(roots)
 
-    tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c_set, line=line)
+    tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c, line=line)
 
     if tos.is_tree():
         tv = frozenset(tos.tree_vertices)
-        e_new = _edges_touching(g, tv, c_set)
+        e_new = _edges_touching(g, tv, c)
         assert e_new, "C is connected with |C| > 1, so the tree touches an edge"
         assert params.allows_part_size(len(e_new)), "tree part exceeds the size budget"
-        roots2 = roots + (e_new,)
-        models2 = models + (tv,)
-        nbrs2 = nbrs + (frozenset(neighborhood(g, tv)),)
-        if tv == c_set:
-            return replace(_complete_on(roots2), root=tuple(range(h)))
-        sub = _step(g, line, params, c_set - tv, roots2, models2, nbrs2, measure)
-        if isinstance(sub, KtCertificate):
-            return sub
-        return replace(sub, root=sub.root[:h])
+        roots2 = roots + (out.slot(e_new),)
+        if len(tv) == len(c):               # the tree lies in C, so it is C
+            return out.complete(roots2)
+        nb_tv = frozenset(neighborhood(g, tv))
+        c -= tv
+        stack.append(_Call(_split(g, piece, nb_tv), roots2, models + (tv,),
+                           nbrs + (nb_tv,), measure))
+        return None
 
-    f = frozenset(minimalize_edge_separator(g, tos.separator, targets, within=c_set))
+    f = frozenset(minimalize_edge_separator(g, tos.separator, targets, within=c))
     assert f, "connected C with nonempty targets forces a nonempty separator"
     assert params.allows_part_size(len(f)), "separator part exceeds the size budget"
-    comps = components(g, within=c_set, banned_edges=f)
+    comps = [set(comp) for comp in components(g, within=c, banned_edges=f)]
     assert len(comps) >= 2, "an inclusion-minimal separator splits C"
-    x_cache: dict[int, frozenset] = {}
-    acc = None
-    for comp in comps:
-        cset = frozenset(comp)
-        missing = next(i for i, a in enumerate(targets) if not (cset & a))
-        if missing not in x_cache:
-            x_cache[missing] = frozenset(
-                v for other in comps if set(other) & targets[missing] for v in other)
-        x = x_cache[missing]
-        u2 = models[missing] | x
-        nb2 = (nbrs[missing] | frozenset(neighborhood(g, x))) - u2
-        sub = _step(g, line, params, cset,
-                    roots[:missing] + (f,) + roots[missing + 1:],
-                    models[:missing] + (u2,) + models[missing + 1:],
-                    nbrs[:missing] + (nb2,) + nbrs[missing + 1:], measure)
-        if isinstance(sub, KtCertificate):
-            return sub
-        attached, new_pid = _attach_part(sub, roots[missing])
-        root_j = (sub.root[missing],) + tuple(
-            new_pid if i == missing else sub.root[i] for i in range(h))
-        child = replace(attached, root=root_j)
-        acc = child if acc is None else _merge_at_root(acc, child)
-    return replace(acc, root=acc.root[1:])
+    # a piece missing A_k takes F in place of root k and grows U_k by every
+    # piece that meets A_k; root k's part is attached back after its call
+    missing = [next(i for i, a in enumerate(targets) if not (cset & a)) for cset in comps]
+    grown = {}
+    for k in set(missing):
+        x = frozenset(v for other in comps if other & targets[k] for v in other)
+        u2 = models[k] | x
+        grown[k] = (u2, (nbrs[k] | frozenset(neighborhood(g, x))) - u2)
+    f_slot = out.slot(f)
+    children, attach = [], []
+    for cset, k in zip(comps, missing):
+        sub_roots = roots[:k] + (f_slot,) + roots[k + 1:]
+        u2, nb2 = grown[k]
+        children.append(_Call([_Piece(cset)], sub_roots, models[:k] + (u2,) + models[k + 1:],
+                              nbrs[:k] + (nb2,) + nbrs[k + 1:], measure))
+        attach.append((sub_roots, roots[k]))
+    _Join(children, (f_slot,) + roots, attach).launch(stack)
+    return None
+
+
+def _run(g, line, params, out: _Builder, call: _Call):
+    """Drive one instance to its decomposition node, or to a certificate."""
+    stack = [call]
+    node = None
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Call):
+            node = _enter(g, line, params, out, item, stack)
+        else:
+            node = item.resume(out, node, stack)
+        if isinstance(node, KtCertificate):
+            return node
+    return node
 
 
 # ---------------------------------------------------------------- public ops
@@ -335,13 +454,15 @@ def induction_step(g: Graph, inst: RootedInstance, params: Params) -> EngineOutc
     """One certified run of the recursion on an explicit rooted instance."""
     check_instance(g, inst, params)
     lg, _ = line_graph(g)
-    _ensure_recursion_room(g.n)
-    return _step(g, lg, params,
-                 frozenset(inst.c),
-                 tuple(frozenset(e) for e in inst.roots),
-                 tuple(frozenset(u) for u in inst.model),
-                 tuple(frozenset(neighborhood(g, u)) for u in inst.model),
-                 None)
+    out = _Builder()
+    roots = tuple(out.slot(frozenset(e)) for e in inst.roots)
+    node = _run(g, lg, params, out, _Call(
+        [_Piece(set(comp)) for comp in components(g, within=inst.c)], roots,
+        tuple(frozenset(u) for u in inst.model),
+        tuple(frozenset(neighborhood(g, u)) for u in inst.model), None))
+    if isinstance(node, KtCertificate):
+        return node
+    return out.freeze(roots, node)
 
 
 def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertificate]:
@@ -353,23 +474,25 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
     """
     params = Params.for_graph(g, t)
     lg, _ = line_graph(g)
-    _ensure_recursion_room(g.n)
-    acc = None
+    out = _Builder()
+    node = None
+    roots: tuple = ()
     for comp in components(g):
         if len(comp) == 1:
             continue
         x = comp[0]
-        c_set = frozenset(comp) - {x}
-        res = _step(g, lg, params, c_set,
-                    (frozenset(g.adj_eids[x]),),
-                    (frozenset((x,)),),
-                    (frozenset(g.adj[x]),), None)
-        if isinstance(res, KtCertificate):
-            return res
-        acc = res if acc is None else _merge_disjoint(acc, res)
-    if acc is None:
-        acc = RootedPartition(parts=(), h_edges=(), root=(), decomp=EMPTY)
-    return PartitionResult(partition=acc, embedding=_build_embedding(g, acc),
+        sub_roots = (out.slot(frozenset(g.adj_eids[x])),)
+        sub = _run(g, lg, params, out, _Call(
+            _split(g, _Piece(set(comp[1:])), g.adj[x]), sub_roots,
+            (frozenset((x,)),), (frozenset(g.adj[x]),), None))
+        if isinstance(sub, KtCertificate):
+            return sub
+        if node is None:
+            roots, node = sub_roots, sub
+        else:       # a disjoint union glues along the empty clique, unrooted
+            roots, node = (), out.glue(node, sub, ())
+    part = out.freeze(roots, node)
+    return PartitionResult(partition=part, embedding=_build_embedding(g, part),
                            params=params)
 
 
@@ -389,12 +512,6 @@ def _build_embedding(g: Graph, p: RootedPartition) -> tuple:
             slots[eid] = (pid, rank + 1)
     assert all(s is not None for s in slots), "every edge must land in a part"
     return tuple(slots)
-
-
-def _ensure_recursion_room(n: int) -> None:
-    need = 12 * n + 2000
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
 
 
 # ---------------------------------------------------------------- validators

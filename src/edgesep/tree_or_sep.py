@@ -28,6 +28,13 @@ from .graphs import (EdgeSet, Graph, VertexSet, bfs_layers, components,
 CONTRACT_STATS = {"vertex": 0, "edge": 0}
 
 
+def _view(g: Graph, within) -> frozenset:
+    """The working vertex set; a caller's set is used as is, not copied."""
+    if within is None:
+        return frozenset(range(g.n))
+    return within if isinstance(within, (set, frozenset)) else frozenset(within)
+
+
 def guarantee_factor(h: int) -> int:
     """Separator-size guarantee factor of the layered scheme for h targets."""
     return 1 if h <= 1 else h
@@ -59,7 +66,7 @@ class TreeOrSeparator:
 def vertex_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
                              within: Optional[Iterable[int]] = None) -> TreeOrSeparator:
     """Vertex flavor of the lemma on the induced subgraph over ``within``."""
-    work = frozenset(within) if within is not None else frozenset(range(g.n))
+    work = _view(g, within)
     tsets = [frozenset(t) for t in targets]
     h = len(tsets)
     if h == 0:
@@ -102,7 +109,7 @@ def _vertex_scheme(g, tsets, r_exact, work):
     k = max(k, 1)
     sub_budget = r_exact - (k - 1)
 
-    layers = bfs_layers(g, sorted(tsets[-1]), within=sorted(work))
+    layers = bfs_layers(g, sorted(tsets[-1]), within=work)
     sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
     j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
     layer = frozenset(layers[j_star]) if j_star < len(layers) else frozenset()
@@ -210,7 +217,7 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     case that component is a single common-target vertex returned as a
     zero-edge tree.
     """
-    work = frozenset(within) if within is not None else frozenset(range(g.n))
+    work = _view(g, within)
     tsets = [frozenset(t) for t in targets]
     h = len(tsets)
     if h == 0:
@@ -307,7 +314,6 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
     """Exact re-check of the edge contract; AssertionError means a bug."""
     CONTRACT_STATS["edge"] += 1
     h = len(tsets)
-    m_work = len(induced_edge_ids(g, work))
     if res.kind == "tree":
         verts = set(res.tree_vertices)
         assert verts <= work, "tree leaves the working set"
@@ -321,8 +327,9 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
             assert verts & t, f"edge tree misses target {i}"
     else:
         f = set(res.separator)
-        assert f <= set(induced_edge_ids(g, work)), "separator uses edges outside the view"
-        cap = res.c_sep * (h - 1) * m_work
+        work_eids = induced_edge_ids(g, work)
+        assert f.issubset(work_eids), "separator uses edges outside the view"
+        cap = res.c_sep * (h - 1) * len(work_eids)
         if f:
             assert r_exact * len(f) <= cap, "edge separator exceeds its size bound"
         for comp in components(g, within=work, banned_edges=f):
@@ -339,8 +346,7 @@ def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
     two fragments it joins would still miss at least one target after the
     merge.  The result separates and no proper subset of it does.
     """
-    work = sorted(within) if within is not None else list(range(g.n))
-    work_set = set(work)
+    work_set = _view(g, within)
     tsets = [frozenset(t) for t in targets]
     f = sorted(set(f_edges))
 

@@ -1,9 +1,9 @@
 """Tree-decompositions as certified values plus the constructive algebra on them.
 
 A decomposition carries an optional *designated* node whose bag is known to
-contain the currently tracked root clique; the recursion in the partition
-engine only ever glues and attaches along root cliques, so keeping that node
-explicit turns clique lookups into O(1) accesses.
+contain the currently tracked root clique.  Decompositions are built in one
+append-only ``Decomposition``: the partition engine only ever glues and
+attaches at nodes it holds, so each step appends a node instead of copying.
 """
 
 from __future__ import annotations
@@ -34,18 +34,39 @@ class TreeDecomposition:
         return len(self.bags)
 
 
-EMPTY = TreeDecomposition(bags=(), tree_edges=())
-
-
 def width(d: TreeDecomposition) -> int:
     """Max bag size minus one; -1 for the empty decomposition."""
     return max((len(b) for b in d.bags), default=0) - 1
 
 
+class Decomposition:
+    """A tree-decomposition under construction; nodes are only ever appended.
+
+    While it grows it may be a forest; ``glue`` joins two of its trees.  Ids
+    handed out stay valid, so a caller builds bottom-up without relabelling,
+    and ``freeze`` turns the result into a TreeDecomposition once.
+    """
+
+    def __init__(self):
+        self.bags: list = []
+        self.tree_edges: list = []
+
+    def add(self, bag: Iterable[int]) -> int:
+        """A new node, in a tree of its own, with the given bag."""
+        self.bags.append(tuple(sorted(set(bag))))
+        return len(self.bags) - 1
+
+    def freeze(self, designated: Optional[int] = None) -> TreeDecomposition:
+        """The decomposition as a value; ``designated``'s bag is its root clique."""
+        return TreeDecomposition(
+            bags=tuple(self.bags), tree_edges=tuple(self.tree_edges), designated=designated,
+            root_clique=None if designated is None else self.bags[designated])
+
+
 def singleton(clique: Iterable[int]) -> TreeDecomposition:
     """One-node decomposition whose bag is the given clique."""
-    bag = tuple(sorted(set(clique)))
-    return TreeDecomposition(bags=(bag,), tree_edges=(), designated=0, root_clique=bag)
+    d = Decomposition()
+    return d.freeze(d.add(clique))
 
 
 def validate_decomposition(g: Graph, d: TreeDecomposition) -> tuple[bool, Optional[str]]:
@@ -123,60 +144,35 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> tuple[bool, Option
     return True, None
 
 
-def glue(d1: TreeDecomposition, d2: TreeDecomposition,
-         shared: Iterable[int]) -> TreeDecomposition:
-    """Join two decompositions whose graphs intersect in the clique ``shared``.
+def glue(d: Decomposition, first: int, second: int, shared: Iterable[int]) -> int:
+    """Join two trees of ``d`` whose graphs intersect in the clique ``shared``.
 
-    A fresh connector node with bag = shared is wired to both designated
-    nodes.  Width of the result is max(width(d1), width(d2), |shared| - 1).
+    A fresh connector node with bag = shared is wired to the nodes ``first``
+    and ``second``, whose bags must both hold it, and its id is returned.
+    Width of the result is max(width of either tree, |shared| - 1).
     """
-    shared = tuple(sorted(set(shared)))
-    for side, d in (("first", d1), ("second", d2)):
-        if d.designated is None:
-            raise ValueError(f"glue: {side} decomposition has no designated node")
-        if not set(shared) <= set(d.bags[d.designated]):
-            raise ValueError(f"glue: {side} designated bag does not contain the shared clique")
-    off = d1.n_nodes
-    conn = off + d2.n_nodes
-    bags = d1.bags + d2.bags + (shared,)
-    edges = (d1.tree_edges
-             + tuple((a + off, b + off) for a, b in d2.tree_edges)
-             + ((conn, d1.designated), (conn, d2.designated + off)))
-    return TreeDecomposition(bags=bags, tree_edges=edges, designated=conn, root_clique=shared)
+    shared = set(shared)
+    for side, node in (("first", first), ("second", second)):
+        if not shared <= set(d.bags[node]):
+            raise ValueError(f"glue: {side} node's bag does not contain the shared clique")
+    conn = d.add(shared)
+    d.tree_edges += ((conn, first), (conn, second))
+    return conn
 
 
-def attach_vertex(d: TreeDecomposition, v: int, clique: Iterable[int]) -> TreeDecomposition:
+def attach_vertex(d: Decomposition, host: int, v: int, clique: Iterable[int]) -> int:
     """Add a new vertex adjacent to an existing clique (Fact-style extension).
 
-    A leaf bag clique + {v} is hung off a node whose bag contains the clique
-    (the designated node when it qualifies, else the first matching node).
-    The leaf becomes the designated node and clique + {v} the root clique.
+    A leaf bag clique + {v} is hung off ``host``, whose bag must contain the
+    clique, and the leaf's id is returned.
     """
-    cl = tuple(sorted(set(clique)))
-    host = None
-    if (d.designated is not None and set(cl) <= set(d.bags[d.designated])):
-        host = d.designated
-    else:
-        for i, bag in enumerate(d.bags):
-            if set(cl) <= set(bag):
-                host = i
-                break
-    new_bag = tuple(sorted(set(cl) | {v}))
-    if host is None:
-        if cl:
-            raise ValueError("attach_vertex: no bag contains the clique")
-        # attaching to the empty clique in an empty decomposition
-        if d.n_nodes == 0:
-            return TreeDecomposition(bags=(new_bag,), tree_edges=(),
-                                     designated=0, root_clique=new_bag)
-        host = 0
-    new = d.n_nodes
-    return TreeDecomposition(
-        bags=d.bags + (new_bag,),
-        tree_edges=d.tree_edges + ((host, new),),
-        designated=new,
-        root_clique=new_bag,
-    )
+    clique = set(clique)
+    if not clique <= set(d.bags[host]):
+        raise ValueError("attach_vertex: the host bag does not contain the clique")
+    clique.add(v)
+    leaf = d.add(clique)
+    d.tree_edges.append((host, leaf))
+    return leaf
 
 
 def product_blowup(d: TreeDecomposition,

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON shapes, determinism."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -8,7 +9,7 @@ import pytest
 
 from edgesep.cli import main
 from edgesep.formats import emit_graph
-from edgesep.generators import complete, grid, star
+from edgesep.generators import complete, grid, outerplanar, path, random_tree, star
 
 
 def run_cli(argv):
@@ -154,6 +155,62 @@ class TestVerify:
         assert code == 1
         assert "wrong artifact kind" in json.loads(out)["violation"]
 
+    def test_zero_denominator_weight_is_a_violation(self, grid_file, tmp_path):
+        art = tmp_path / "s.json"
+        run_cli(["separate", grid_file, "--t", "5", "--uniform", "--out", str(art)])
+        data = json.loads(art.read_text())
+        data["components"][0]["weight"] = "1/0"
+        art.write_text(json.dumps(data))
+        code, out = run_cli(["verify", "separator", str(art), "--against", grid_file])
+        assert code == 1
+        assert "ZeroDivisionError" in json.loads(out)["violation"]
+
+    def test_partition_without_params_is_a_violation(self, grid_file, tmp_path):
+        art = tmp_path / "p.json"
+        run_cli(["partition", grid_file, "--t", "5", "--out", str(art)])
+        data = json.loads(art.read_text())
+        del data["params"]
+        art.write_text(json.dumps(data))
+        code, out = run_cli(["verify", "partition", str(art), "--against", grid_file])
+        assert code == 1
+        assert "'params'" in json.loads(out)["violation"]
+
+    def _tampered(self, tmp_path, kind, graph_file, mutate):
+        """Exit code and violation of ``verify`` on a mutated fresh artifact."""
+        art = tmp_path / "a.json"
+        cmd = "separate" if kind == "separator" else "partition"
+        run_cli([cmd, graph_file, "--t", "5", "--out", str(art)]
+                + (["--uniform"] if cmd == "separate" else []))
+        data = json.loads(art.read_text())
+        mutate(data)
+        art.write_text(json.dumps(data))
+        code, out = run_cli(["verify", kind, str(art), "--against", graph_file])
+        return code, json.loads(out)["violation"]
+
+    MALFORMED = {
+        "t-out-of-range": ("partition", lambda d: d["params"].update(t=2)),
+        "negative-c-sep": ("partition", lambda d: d["params"].update(c_sep=-1)),
+        "params-list": ("partition", lambda d: d.update(params=[5])),
+        "part-element": ("partition", lambda d: d["parts"][0].append("x")),
+        "h-edge-arity": ("partition", lambda d: d["h_edges"].append([0])),
+        "embedding-entry": ("partition", lambda d: d["embedding"].__setitem__(0, 5)),
+        "bags-null": ("partition", lambda d: d["decomposition"].update(bags=None)),
+        "weight-number": ("separator",
+                          lambda d: d["components"][0].update(weight=1)),
+        "edges-string": ("separator", lambda d: d.update(edges="0")),
+        "bound-float": ("separator", lambda d: d.update(bound_used=1.5)),
+        "model-t-string": ("model", lambda d: d.update(t="5")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_field_is_a_violation(self, name, grid_file, tmp_path):
+        kind, mutate = self.MALFORMED[name]
+        if kind == "model":     # K_8 makes ``partition`` emit a K_5 certificate
+            grid_file = str(tmp_path / "k8.gr")
+            (tmp_path / "k8.gr").write_text(emit_graph(complete(8)))
+        code, why = self._tampered(tmp_path, kind, grid_file, mutate)
+        assert code == 1 and why.startswith(f"artifact: malformed {kind} artifact")
+
     def test_model_artifact(self, tmp_path):
         g = tmp_path / "k8.gr"
         g.write_text(emit_graph(complete(8)))
@@ -192,6 +249,38 @@ class TestDeterminism:
     def test_partition_output_is_byte_identical(self, grid_file):
         outs = {run_cli(["partition", grid_file, "--t", "4"])[1] for _ in range(3)}
         assert len(outs) == 1
+
+    # sha256 of stdout, recorded before the recursion ran on an explicit
+    # stack; part numbering, bags and |F| must not drift
+    PINNED = {
+        "path-300": (lambda: path(300),
+                     "1ecc4e6452733eb43b0bb7e10fc987b5642550921c219e675934effda9df086d",
+                     "b4fc6297f2f160ca44c3f28ec30fbead435b207c322b1478179184a5c800f57b"),
+        "grid-12": (lambda: grid(12, 12),
+                    "1fe31b5cf722a09b4e87783b626c0ad17dae0b75d4077175ef88f9e2213d99fa",
+                    "dcf2ee243c36d891128e9bdc24b0ceda8c0df542a36eaf331d90c66deee6fdee"),
+        # the only instance here whose recursion splits C at a separator
+        "grid-20": (lambda: grid(20, 20),
+                    "f04307a274bf14f4459e564ca33ad6ea6cadd14876844219a194a59661afdb58",
+                    "f9e1f408d7141abf2aa57fd308de5ec154588540e8e94946d57c5d0161349d95"),
+        "tree-500": (lambda: random_tree(500, 500),
+                     "64b2aea4b9236f99d6c769ae2fc923e23bb549f5fcd731d078a5265f9ac5f7fc",
+                     "d31e154ef775670c07a347b236b8505f5bba21a1a7dd14895b1c3ad12d054f3c"),
+        "outerplanar-300": (lambda: outerplanar(300, 300),
+                            "4fc3b50c6c20da4c24fd586470c5426443a459f8da696650ad8a7353fa3862d2",
+                            "21ff69be3a500cd39871cd267d12c3d0de821f9fa68bff4eb580e733587eb114"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_outputs_match_pinned_digests(self, name, tmp_path):
+        make, partition_sha, separate_sha = self.PINNED[name]
+        p = tmp_path / f"{name}.gr"
+        p.write_text(emit_graph(make()))
+        for argv, want in ((["partition", str(p), "--t", "5"], partition_sha),
+                           (["separate", str(p), "--t", "5", "--uniform"], separate_sha)):
+            code, out = run_cli(argv)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want, argv[0]
 
     def test_gen_is_byte_identical(self):
         a = run_cli(["gen", "random-tree", "25", "--seed", "11"])[1]

@@ -1,32 +1,34 @@
 """Partition engine: parameters, the recursion, wrappers, and validators."""
 
 import math
+import sys
 
 import pytest
 
 from edgesep import (Graph, KtCertificate, Params, RootedInstance, components,
                      exact_treewidth, has_kt_minor, induction_step, line_graph,
-                     line_graph_tree_decomposition, p_value,
+                     line_graph_tree_decomposition,
                      partition_line_graph, validate_certificate,
                      validate_decomposition, validate_embedding,
                      validate_partition, width)
 from edgesep.errors import ParameterError
+from edgesep.tree_or_sep import CONTRACT_STATS
 from edgesep.generators import complete, cycle, grid, outerplanar, path, random_tree, star
 
 
 class TestParams:
     def test_p_value_reference_point(self):
         p = Params(t=5, delta=4, m=12, c_sep=1)
-        assert math.isclose(p_value(p), math.sqrt(96) + 4)
-        assert round(p_value(p), 4) == 13.7980
+        assert math.isclose(p.p_value(), math.sqrt(96) + 4)
+        assert round(p.p_value(), 4) == 13.7980
 
     def test_p_value_collapses_at_t3(self):
-        assert p_value(Params(t=3, delta=7, m=99, c_sep=4)) == 7.0
+        assert Params(t=3, delta=7, m=99, c_sep=4).p_value() == 7.0
 
     def test_p_value_scales_with_c_sep(self):
         p = Params(t=5, delta=4, m=12, c_sep=2)
-        assert math.isclose(p_value(p), math.sqrt(192) + 4)
-        assert round(p_value(p), 4) == 17.8564
+        assert math.isclose(p.p_value(), math.sqrt(192) + 4)
+        assert round(p.p_value(), 4) == 17.8564
 
     def test_floor_values(self):
         p = Params(t=5, delta=4, m=12, c_sep=1)
@@ -169,6 +171,33 @@ class TestPartitionLineGraph:
         assert ok, why
         slots = [slot for _, slot in res.embedding]
         assert max(slots) <= res.params.p_floor()
+
+
+class TestRecursion:
+    @pytest.mark.parametrize("g, edge, vertex", [
+        (path(500), 498, 0),
+        (grid(20, 20), 54, 53),
+        (random_tree(500, 500), 256, 0),
+    ], ids=["path-500", "grid-20", "tree-500"])
+    def test_every_contract_check_still_runs(self, g, edge, vertex):
+        before = dict(CONTRACT_STATS)
+        partition_line_graph(g, 5)
+        assert CONTRACT_STATS["edge"] - before["edge"] == edge
+        assert CONTRACT_STATS["vertex"] - before["vertex"] == vertex
+
+    def test_deep_path_runs_within_a_small_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            g = path(20000)
+            res = partition_line_graph(g, 5)
+            ok, why = validate_partition(g, res.partition, res.params)
+            assert ok, why
+            ok, why = validate_embedding(g, res.partition, res.embedding, res.params)
+            assert ok, why
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestLineGraphDecomposition:

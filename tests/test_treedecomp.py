@@ -8,7 +8,7 @@ from edgesep import (Graph, attach_vertex, glue, line_graph,
                      partition_line_graph, product_blowup, singleton,
                      validate_decomposition, width)
 from edgesep.generators import grid
-from edgesep.treedecomp import TreeDecomposition
+from edgesep.treedecomp import Decomposition, TreeDecomposition
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -63,9 +63,24 @@ class TestSingleton:
         assert width(singleton((7,))) == 0
 
 
+def _copy_into(d: Decomposition, value: TreeDecomposition) -> int:
+    """Append a decomposition value to ``d``; returns its designated node there."""
+    off = len(d.bags)
+    for bag in value.bags:
+        d.add(bag)
+    d.tree_edges += [(a + off, b + off) for a, b in value.tree_edges]
+    return value.designated + off
+
+
+def _glued(first, second, shared) -> TreeDecomposition:
+    d = Decomposition()
+    a, b = _copy_into(d, first), _copy_into(d, second)
+    return d.freeze(glue(d, a, b, shared))
+
+
 class TestGlue:
     def test_two_singletons_sharing_a_vertex(self):
-        d = glue(singleton((0, 1)), singleton((0, 2)), (0,))
+        d = _glued(singleton((0, 1)), singleton((0, 2)), (0,))
         union = Graph(3, [(0, 1), (0, 2)])
         ok, why = validate_decomposition(union, d)
         assert ok, why
@@ -73,32 +88,35 @@ class TestGlue:
         assert d.root_clique == (0,) and d.bags[d.designated] == (0,)
 
     def test_disjoint_glue(self):
-        d = glue(singleton((0, 1)), singleton((2, 3)), ())
+        d = _glued(singleton((0, 1)), singleton((2, 3)), ())
         ok, why = validate_decomposition(Graph(4, [(0, 1), (2, 3)]), d)
         assert ok, why
         assert width(d) == 1
 
     def test_designated_missing_shared_clique(self):
         with pytest.raises(ValueError, match="shared clique"):
-            glue(singleton((0, 1)), singleton((2, 3)), (0,))
+            _glued(singleton((0, 1)), singleton((2, 3)), (0,))
 
 
 class TestAttachVertex:
     def test_width_stays_at_clique_size(self):
-        d = singleton((0, 1))          # width 1
-        d2 = attach_vertex(d, 2, (0, 1))
+        d = Decomposition()
+        leaf = attach_vertex(d, d.add((0, 1)), 2, (0, 1))     # host bag of width 1
+        d2 = d.freeze(leaf)
         ok, why = validate_decomposition(K3, d2)
         assert ok, why
         assert width(d2) == 2 == len((0, 1))
 
     def test_attach_to_empty_clique(self):
-        d = attach_vertex(singleton((0,)), 1, ())
+        d = Decomposition()
+        d = d.freeze(attach_vertex(d, d.add((0,)), 1, ()))
         ok, why = validate_decomposition(Graph(2), d)
         assert ok, why
 
     def test_clique_not_present(self):
-        with pytest.raises(ValueError, match="no bag contains"):
-            attach_vertex(singleton((0, 1)), 5, (3, 4))
+        d = Decomposition()
+        with pytest.raises(ValueError, match="does not contain the clique"):
+            attach_vertex(d, d.add((0, 1)), 5, (3, 4))
 
 
 class TestProductBlowup:
@@ -109,7 +127,7 @@ class TestProductBlowup:
         assert width(blown) == 4
 
     def test_singleton_parts_keep_width(self):
-        d = glue(singleton((0, 1)), singleton((1, 2)), (1,))
+        d = _glued(singleton((0, 1)), singleton((1, 2)), (1,))
         blown = product_blowup(d, [(10,), (11,), (12,)])
         assert width(blown) == width(d)
 
@@ -126,19 +144,19 @@ class TestProductBlowup:
 def clique_chains(draw):
     """Small random decompositions built from the constructive ops only."""
     base = draw(st.integers(2, 4))
-    d = singleton(tuple(range(base)))
+    d = Decomposition()
+    top = d.add(range(base))
     edges = {(i, j) for i in range(base) for j in range(i + 1, base)}
     n = base
     for _ in range(draw(st.integers(0, 4))):
-        bag = d.bags[draw(st.integers(0, d.n_nodes - 1))]
-        if not bag:
-            continue
+        host = draw(st.integers(0, len(d.bags) - 1))
+        bag = d.bags[host]
         k = draw(st.integers(1, len(bag)))
         clique = bag[:k]
         edges.update((min(v, n), max(v, n)) for v in clique)
-        d = attach_vertex(d, n, clique)
+        top = attach_vertex(d, host, n, clique)
         n += 1
-    return Graph(n, sorted(edges)), d
+    return Graph(n, sorted(edges)), d.freeze(top)
 
 
 class TestPreservation:
@@ -155,7 +173,7 @@ class TestPreservation:
         g1, d1 = p1
         _, d2 = p2
         shared = ()
-        merged = glue(d1, d2, shared)
+        merged = _glued(d1, d2, shared)
         assert width(merged) == max(width(d1), width(d2), len(shared) - 1)
 
     @SETTINGS

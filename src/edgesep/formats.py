@@ -171,7 +171,6 @@ def tree_or_separator_json(tos) -> dict:
         "flavor": tos.flavor,
         "kind": tos.kind,
         "h": tos.h,
-        "r": tos.r,
         "c_sep": tos.c_sep,
         "achieved": format_fraction(tos.achieved),
         "tree_vertices": list(tos.tree_vertices) if tos.tree_vertices else None,

@@ -80,32 +80,43 @@ def max_degree(g: Graph) -> int:
     return max((len(a) for a in g.adj), default=0) if g.n else 0
 
 
+def _as_set(xs: Iterable[int]):
+    """A caller's set or frozenset as it is; any other iterable as a new set."""
+    return xs if isinstance(xs, (set, frozenset)) else set(xs)
+
+
 def components(g: Graph, within: Optional[Iterable[int]] = None,
                banned_edges: Iterable[int] = ()) -> list[VertexSet]:
     """Connected components of the induced subgraph on ``within``.
 
     ``banned_edges`` removes individual edges from the view.  Each component
     is a sorted vertex tuple; the list is ordered by smallest contained id.
+    A caller's set or frozenset is read as is, never copied.
     """
-    verts = sorted(set(within)) if within is not None else range(g.n)
-    inset = set(verts)
+    inset = range(g.n) if within is None else _as_set(within)
     banned = set(banned_edges)
+    adj, adj_eids = g.adj, g.adj_eids
     seen: set[int] = set()
     out = []
-    for s in verts:
+    for s in inset:
         if s in seen:
             continue
         seen.add(s)
         comp = [s]
-        dq = deque((s,))
-        while dq:
-            v = dq.popleft()
-            for u, eid in zip(g.adj[v], g.adj_eids[v]):
-                if u in inset and u not in seen and eid not in banned:
-                    seen.add(u)
-                    comp.append(u)
-                    dq.append(u)
-        out.append(tuple(sorted(comp)))
+        for v in comp:                  # comp grows as it is read: the BFS queue
+            if banned:
+                for u, eid in zip(adj[v], adj_eids[v]):
+                    if u in inset and u not in seen and eid not in banned:
+                        seen.add(u)
+                        comp.append(u)
+            else:
+                for u in adj[v]:
+                    if u in inset and u not in seen:
+                        seen.add(u)
+                        comp.append(u)
+        comp.sort()
+        out.append(tuple(comp))
+    out.sort()          # disjoint sorted tuples: ordered by least vertex
     return out
 
 
@@ -129,39 +140,42 @@ def edges_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> EdgeSet:
 
 
 def bfs_layers(g: Graph, sources: Iterable[int],
-               within: Optional[Iterable[int]] = None) -> list[VertexSet]:
+               within: Optional[Iterable[int]] = None,
+               depth: Optional[int] = None) -> list[VertexSet]:
     """BFS distance layers from ``sources`` inside the induced subgraph.
 
     Layer j holds the vertices of ``within`` at induced distance exactly j;
     unreachable vertices are omitted.  Layer 0 is the source set itself.
+    With ``depth`` set, the search stops after layer ``depth``: only the
+    adjacency of the earlier layers is read.
     """
-    inset = set(within) if within is not None else set(range(g.n))
-    srcs = sorted(set(sources))
-    if any(s not in inset for s in srcs):
+    inset = range(g.n) if within is None else _as_set(within)
+    seen = set(sources)
+    if any(s not in inset for s in seen):
         raise ValueError("sources must lie inside the working vertex set")
-    if not srcs:
+    if not seen:
         return []
-    dist = {s: 0 for s in srcs}
-    frontier = srcs
-    layers = [tuple(srcs)]
-    while frontier:
-        nxt: set[int] = set()
-        for v in frontier:
-            for u in g.adj[v]:
-                if u in inset and u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.add(u)
-        if nxt:
-            layers.append(tuple(sorted(nxt)))
-        frontier = sorted(nxt)
+    adj = g.adj
+    layers = [tuple(sorted(seen))]
+    while depth is None or len(layers) <= depth:
+        nxt = []
+        for v in layers[-1]:
+            for u in adj[v]:
+                if u in inset and u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        if not nxt:
+            break
+        nxt.sort()
+        layers.append(tuple(nxt))
     return layers
 
 
 def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
     """Ids of edges with both endpoints in ``within``."""
-    inset = set(within)
+    inset = _as_set(within)
     out = []
-    for v in sorted(inset):
+    for v in inset:
         for u, eid in zip(g.adj[v], g.adj_eids[v]):
             if v < u and u in inset:
                 out.append(eid)

@@ -65,13 +65,18 @@ def balanced_edge_separator(g: Graph, w, t: int
     res = partition_line_graph(g, t)
     if isinstance(res, KtCertificate):
         return res
-    return separator_from_partition(g, res, w)
+    return _sink_separator(g, res, w)
 
 
 def separator_from_partition(g: Graph, res: PartitionResult, w
                              ) -> EdgeSeparatorResult:
     """Extract the separator from an already-computed partition result."""
     check_weights(g, w)
+    return _sink_separator(g, res, w)
+
+
+def _sink_separator(g: Graph, res: PartitionResult, w) -> EdgeSeparatorResult:
+    """``separator_from_partition`` for weights already checked."""
     params = res.params
     part = res.partition
     bound_used = (params.t - 1) * params.p_floor()

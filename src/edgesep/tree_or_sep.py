@@ -52,7 +52,6 @@ class TreeOrSeparator:
     flavor: str                      # "vertex" | "edge"
     kind: str                        # "tree" | "separator"
     h: int
-    r: float                         # budget, as a float for reporting
     c_sep: int                       # promised guarantee factor for this call
     achieved: Fraction               # measured size of the returned object
     tree_vertices: Optional[VertexSet] = None
@@ -79,7 +78,7 @@ def vertex_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
         raise ParameterError("radius budget r must be >= 1")
     kind, tv, te, sep = _vertex_scheme(g, tsets, r_exact, work)
     result = TreeOrSeparator(
-        flavor="vertex", kind=kind, h=h, r=float(r_exact),
+        flavor="vertex", kind=kind, h=h,
         c_sep=guarantee_factor(h),
         achieved=Fraction(len(tv) if kind == "tree" else len(sep)),
         tree_vertices=tv, tree_edges=te, separator=sep,
@@ -109,16 +108,18 @@ def _vertex_scheme(g, tsets, r_exact, work):
     k = max(k, 1)
     sub_budget = r_exact - (k - 1)
 
-    layers = bfs_layers(g, sorted(tsets[-1]), within=work)
+    layers = bfs_layers(g, tsets[-1], within=work, depth=k)
     sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
     j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
-    layer = frozenset(layers[j_star]) if j_star < len(layers) else frozenset()
 
-    z_parts = [sorted(layer)]
-    remaining = work - layer
-    for comp in components(g, within=remaining):
+    # A component of work minus layer j* that meets the last target cannot
+    # cross that layer, so it is a component of the ball inside it; the
+    # other components miss the last target and would be skipped anyway.
+    z_parts = [layers[j_star] if j_star < len(layers) else ()]
+    ball = {v for layer in layers[:j_star] for v in layer}
+    for comp in components(g, within=ball):
         cset = frozenset(comp)
-        if not all(cset & t for t in tsets):
+        if any(cset.isdisjoint(t) for t in tsets):
             continue
         sub_targets = [t & cset for t in tsets[:-1]]
         kind, tv, te, sep = _vertex_scheme(g, sub_targets, sub_budget, cset)
@@ -237,17 +238,15 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     r_exact = as_exact(r)
     if r_exact < 1:
         raise ParameterError("radius budget r must be >= 1")
-    work_eids = induced_edge_ids(g, work)
-    eid_set = set(work_eids)
-    for v in sorted(work):
-        if not any(e in eid_set for e in g.adj_eids[v]):
-            raise ParameterError(f"vertex {v} is isolated inside the working set")
+    eid_set, isolated = _inner_edges(g, work)
+    if isolated:
+        raise ParameterError(f"vertex {min(isolated)} is isolated inside the working set")
     if any(not t for t in tsets):
         return _finish_edge(g, tsets, r_exact, work, "separator", None, None, ())
 
     lg = line if line is not None else line_graph(g)[0]
     line_targets = [_incidence_edges(g, t, eid_set) for t in tsets]
-    sub = vertex_tree_or_separator(lg, line_targets, r_exact, within=work_eids)
+    sub = vertex_tree_or_separator(lg, line_targets, r_exact, within=eid_set)
 
     if sub.is_tree():
         verts, eids = _spanning_tree_of_edges(g, sub.tree_vertices)
@@ -262,6 +261,22 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
             assert len(comp) == 1, "multi-vertex component survived the line separator"
             return _finish_edge(g, tsets, r_exact, work, "tree", (comp[0],), (), None)
     return _finish_edge(g, tsets, r_exact, work, "separator", None, None, f)
+
+
+def _inner_edges(g, work):
+    """E(C) as a set of edge ids, and the vertices of C with no edge in it."""
+    eids = set()
+    isolated = []
+    adj, adj_eids = g.adj, g.adj_eids
+    for v in work:
+        inner = False
+        for u, e in zip(adj[v], adj_eids[v]):
+            if u in work:
+                eids.add(e)
+                inner = True
+        if not inner:
+            isolated.append(v)
+    return eids, isolated
 
 
 def _incidence_edges(g, tset, eid_set):
@@ -301,7 +316,7 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
 
 def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep) -> TreeOrSeparator:
     res = TreeOrSeparator(
-        flavor="edge", kind=kind, h=len(tsets), r=float(r_exact),
+        flavor="edge", kind=kind, h=len(tsets),
         c_sep=guarantee_factor(len(tsets)),
         achieved=Fraction(len(te) if kind == "tree" else len(sep)),
         tree_vertices=tv, tree_edges=te, separator=sep,

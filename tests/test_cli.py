@@ -282,6 +282,30 @@ class TestDeterminism:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == want, argv[0]
 
+    # sha256 of stdout at t = 5, recorded before the tree-or-separator search
+    # was made local; these runs end many searches at a separator
+    PINNED_LARGE = {
+        "grid-32": (lambda: grid(32, 32), {
+            "partition": "37ae431557a56d2f12be710a2fbf5fbaed51ffaed51878bcd04489ff2887fca3",
+            "separate": "4fac453af57e208c276307695dd3ae493b87dc7160d6e0267493a17cbbe8ef80",
+            "iso": "17bad7664e2e235fbc3b3f8acba94f1b62af78f6fb94944e65859b55fb576b88"}),
+        "grid-8x60": (lambda: grid(8, 60), {
+            "partition": "fe2339a1810397a6c613fc64577d6c12125f3e545d0c86e62bbca14266527cfa",
+            "separate": "f4fcca4ee6ae5cd0303ded92d15918e83ab76005961885d3c125d8a86ece3a5a",
+            "iso": "03e9d92956f9f6ce5b025ac269f2871268a6ca8b6cf74d5243edb87ac7ff0426"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_LARGE))
+    def test_large_outputs_match_pinned_digests(self, name, tmp_path):
+        make, digests = self.PINNED_LARGE[name]
+        p = tmp_path / f"{name}.gr"
+        p.write_text(emit_graph(make()))
+        for command, want in digests.items():
+            extra = ["--uniform"] if command == "separate" else []
+            code, out = run_cli([command, str(p), "--t", "5", *extra])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want, command
+
     def test_gen_is_byte_identical(self):
         a = run_cli(["gen", "random-tree", "25", "--seed", "11"])[1]
         b = run_cli(["gen", "random-tree", "25", "--seed", "11"])[1]

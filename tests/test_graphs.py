@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from edgesep import (Graph, bfs_layers, components, edges_between, line_graph,
                      max_degree, neighborhood, validate_model)
-from edgesep.generators import grid, star
+from edgesep.generators import grid, path, star
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -123,6 +123,22 @@ class TestBfsLayers:
     def test_unreachable_omitted(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert bfs_layers(g, (0,)) == [(0,), (1,)]
+
+    def test_depth_stops_the_search(self):
+        assert bfs_layers(path(5), (0,), depth=2) == [(0,), (1,), (2,)]
+        assert bfs_layers(path(5), (0,), depth=0) == [(0,)]
+        assert bfs_layers(path(3), (0,), depth=7) == [(0,), (1,), (2,)]
+
+
+class TestCallerSets:
+    @pytest.mark.parametrize("kind", [set, frozenset])
+    def test_primitives_leave_a_callers_set_alone(self, kind):
+        g = path(6)
+        within = kind({0, 1, 2, 4, 5})
+        sources = kind({1})
+        assert components(g, within=within) == [(0, 1, 2), (4, 5)]
+        assert bfs_layers(g, sources, within=within) == [(1,), (0, 2)]
+        assert within == {0, 1, 2, 4, 5} and sources == {1}
 
 
 class TestValidateModel:

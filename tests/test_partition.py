@@ -178,7 +178,9 @@ class TestRecursion:
         (path(500), 498, 0),
         (grid(20, 20), 54, 53),
         (random_tree(500, 500), 256, 0),
-    ], ids=["path-500", "grid-20", "tree-500"])
+        (grid(32, 32), 101, 99),
+        (grid(8, 60), 100, 96),
+    ], ids=["path-500", "grid-20", "tree-500", "grid-32", "grid-8x60"])
     def test_every_contract_check_still_runs(self, g, edge, vertex):
         before = dict(CONTRACT_STATS)
         partition_line_graph(g, 5)

@@ -10,8 +10,9 @@ from edgesep import (Graph, KtCertificate, balanced_edge_separator, components,
                      min_balanced_edge_separator, orient_and_find_sink,
                      partition_line_graph, product_blowup,
                      separator_from_partition, uniform_weights)
+from edgesep import separator as separator_module
 from edgesep.errors import ParameterError
-from edgesep.generators import cycle, grid, star
+from edgesep.generators import complete, cycle, grid, star
 from edgesep.treedecomp import TreeDecomposition
 
 HALF = Fraction(1, 2)
@@ -51,6 +52,20 @@ class TestBalancedSeparator:
             balanced_edge_separator(g, (HALF, Fraction(1, 3)), 3)
         with pytest.raises(ParameterError, match="outside"):
             balanced_edge_separator(g, (Fraction(3, 4), Fraction(1, 4)), 3)
+
+    def test_bad_weights_fail_before_the_partition_is_searched(self):
+        # K_7 at t = 5 would end in a certificate; the weights are checked first
+        w = (Fraction(1, 8),) * 7
+        with pytest.raises(ParameterError, match="sum"):
+            balanced_edge_separator(complete(7), w, 5)
+
+    def test_weights_are_checked_once_per_call(self, monkeypatch):
+        calls = []
+        check = separator_module.check_weights
+        monkeypatch.setattr(separator_module, "check_weights",
+                            lambda g, w: calls.append(1) or check(g, w))
+        sep = balanced_edge_separator(grid(4, 4), uniform_weights(16), 5)
+        assert sep.edges and len(calls) == 1
 
     def test_zero_weight_vertices_are_legal(self):
         g = grid(2, 3)

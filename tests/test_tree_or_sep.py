@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesep import (Graph, components, edge_tree_or_separator,
+from edgesep import (Graph, components, edge_tree_or_separator, line_graph,
                      minimalize_edge_separator, vertex_tree_or_separator)
 from edgesep.errors import ParameterError
 from edgesep.generators import grid, path
@@ -79,6 +79,47 @@ class TestEdgeFlavor:
         g = Graph(3, [(0, 1)])
         with pytest.raises(ParameterError, match="isolated"):
             edge_tree_or_separator(g, [(0,), (1,)], 2)
+
+    def test_least_isolated_vertex_is_named(self):
+        g = Graph(6, [(0, 1), (4, 5)])
+        with pytest.raises(ParameterError, match="vertex 2 is isolated"):
+            edge_tree_or_separator(g, [(0,), (1,)], 2, within={5, 3, 2, 1, 0, 4})
+
+
+class _CountingTuple(tuple):
+    """Adjacency lists that count how many of them are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.fixture(scope="module")
+def long_path():
+    g = path(200000)
+    return g, line_graph(g)[0], frozenset(range(g.n))
+
+
+class TestLocality:
+    """A tree found near the targets costs what it searched, not |C|."""
+
+    def test_vertex_tree_reads_only_the_searched_ball(self, long_path, monkeypatch):
+        g, _, work = long_path
+        adj = _CountingTuple(g.adj)
+        monkeypatch.setattr(g, "adj", adj)
+        res = vertex_tree_or_separator(g, [(0,), (1,)], 3, within=work)
+        assert res.is_tree() and res.tree_vertices == (0, 1)
+        assert adj.reads <= 16
+
+    def test_edge_tree_reads_only_the_searched_line_ball(self, long_path, monkeypatch):
+        g, lg, work = long_path
+        adj = _CountingTuple(lg.adj)
+        monkeypatch.setattr(lg, "adj", adj)
+        res = edge_tree_or_separator(g, [(0,), (2,)], 3, within=work, line=lg)
+        assert res.is_tree() and res.tree_edges == (0, 1)
+        assert adj.reads <= 16
 
 
 class TestMinimalize:

@@ -144,7 +144,7 @@ class _Builder:
         self._slot_edges: list = []
         self._slot_pid: list = []
 
-    def slot(self, edges: frozenset) -> int:
+    def slot(self, edges) -> int:
         self._slot_edges.append(edges)
         self._slot_pid.append(None)
         return len(self._slot_pid) - 1
@@ -188,14 +188,17 @@ class _Piece:
 
     Its least vertex therefore only grows: a sorted list, built on first use,
     and a cursor that moves forward over vertices since removed answer it.
+    Its induced edge set E(C) is likewise built on first use and then shrunk
+    along with the vertices, so a later search never rescans C for it.
     """
 
-    __slots__ = ("verts", "order", "at")
+    __slots__ = ("verts", "order", "at", "edges")
 
-    def __init__(self, verts: set):
+    def __init__(self, verts: set, edges: Optional[set] = None):
         self.verts = verts
         self.order: Optional[list] = None
         self.at = 0
+        self.edges = edges
 
     def least(self) -> int:
         if self.order is None:
@@ -203,6 +206,12 @@ class _Piece:
         while self.order[self.at] not in self.verts:
             self.at += 1
         return self.order[self.at]
+
+    def inner_edges(self, g: Graph) -> set:
+        """E(C), carried from here on."""
+        if self.edges is None:
+            self.edges = _edges_touching(g, self.verts, self.verts)
+        return self.edges
 
 
 def _split(g: Graph, piece: _Piece, around) -> list:
@@ -256,20 +265,24 @@ def _split(g: Graph, piece: _Piece, around) -> list:
                     del live[j]
     pieces = [piece]
     for verts in closed:
+        edges = None
+        if piece.edges is not None:     # a closed piece takes its edges along
+            edges = _edges_touching(g, verts, c)
+            piece.edges -= edges
         c.difference_update(verts)
-        pieces.append(_Piece(set(verts)))
+        pieces.append(_Piece(set(verts), edges))
     pieces.sort(key=_Piece.least)
     return pieces
 
 
-def _edges_touching(g: Graph, verts, c_set) -> frozenset:
+def _edges_touching(g: Graph, verts, c_set) -> set:
     """C-edges with at least one end in ``verts`` (both ends inside C)."""
     out = set()
     for v in verts:
         for u, eid in zip(g.adj[v], g.adj_eids[v]):
             if u in c_set:
                 out.add(eid)
-    return frozenset(out)
+    return out
 
 
 class _Call(NamedTuple):
@@ -349,7 +362,9 @@ def _enter(g, line, params, out: _Builder, call: _Call, stack):
     if len(c) == 1:
         return out.complete(roots)
 
-    tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c, line=line)
+    # C is connected with |C| > 1, so no vertex of it is isolated in E(C)
+    tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c, line=line,
+                                 inner=piece.inner_edges(g) if h >= 2 else None)
 
     if tos.is_tree():
         tv = frozenset(tos.tree_vertices)
@@ -361,6 +376,8 @@ def _enter(g, line, params, out: _Builder, call: _Call, stack):
             return out.complete(roots2)
         nb_tv = frozenset(neighborhood(g, tv))
         c -= tv
+        if piece.edges is not None:
+            piece.edges -= e_new
         stack.append(_Call(_split(g, piece, nb_tv), roots2, models + (tv,),
                            nbrs + (nb_tv,), measure))
         return None

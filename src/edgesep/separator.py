@@ -9,6 +9,7 @@ never compared through floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -28,16 +29,23 @@ def uniform_weights(n: int) -> tuple:
 
 
 def check_weights(g: Graph, w) -> None:
+    """Raise unless ``w`` is exact, inside [0, 1/2] and sums to exactly 1.
+
+    Numerators are summed per denominator and compared over the least common
+    denominator, so the check is integer work with no gcd per weight.
+    """
     if len(w) != g.n:
         raise ParameterError("weight function must cover every vertex")
-    total = Fraction(0)
+    sums: dict = {}
     for i, x in enumerate(w):
         if not isinstance(x, Fraction):
             raise ParameterError("weights must be exact rationals")
-        if x < 0 or x > HALF:
+        num, den = x.numerator, x.denominator
+        if num < 0 or 2 * num > den:            # den > 0: x < 0 or x > 1/2
             raise ParameterError(f"weight of vertex {i} outside [0, 1/2]")
-        total += x
-    if total != 1:
+        sums[den] = sums.get(den, 0) + num
+    lcd = math.lcm(*sums)
+    if sum(num * (lcd // den) for den, num in sums.items()) != lcd:
         raise ParameterError("weights must sum to exactly 1")
 
 

@@ -115,10 +115,15 @@ def _vertex_scheme(g, tsets, r_exact, work):
     # A component of work minus layer j* that meets the last target cannot
     # cross that layer, so it is a component of the ball inside it; the
     # other components miss the last target and would be skipped anyway.
+    # Every ball vertex reaches layer 0 inside the ball, so a connected
+    # layer 0 makes the whole ball one component.
     z_parts = [layers[j_star] if j_star < len(layers) else ()]
     ball = {v for layer in layers[:j_star] for v in layer}
-    for comp in components(g, within=ball):
-        cset = frozenset(comp)
+    if len(components(g, within=layers[0])) == 1:
+        comps = [ball]
+    else:
+        comps = [frozenset(comp) for comp in components(g, within=ball)]
+    for cset in comps:
         if any(cset.isdisjoint(t) for t in tsets):
             continue
         sub_targets = [t & cset for t in tsets[:-1]]
@@ -208,7 +213,8 @@ def _span(edges, start):
 
 def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
                            within: Optional[Iterable[int]] = None,
-                           line: Optional[Graph] = None) -> TreeOrSeparator:
+                           line: Optional[Graph] = None,
+                           inner: Optional[set] = None) -> TreeOrSeparator:
     """Edge flavor, via the vertex flavor on the line graph.
 
     Incidence edge sets of the targets play the target role in the line
@@ -217,6 +223,9 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     component of the working graph minus F still meets all targets, in which
     case that component is a single common-target vertex returned as a
     zero-edge tree.
+
+    A caller that already holds E(C) for a view without isolated vertices
+    passes it as ``inner``; it is trusted as ``line`` is, and read as is.
     """
     work = _view(g, within)
     tsets = [frozenset(t) for t in targets]
@@ -238,9 +247,11 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     r_exact = as_exact(r)
     if r_exact < 1:
         raise ParameterError("radius budget r must be >= 1")
-    eid_set, isolated = _inner_edges(g, work)
-    if isolated:
-        raise ParameterError(f"vertex {min(isolated)} is isolated inside the working set")
+    eid_set = inner
+    if eid_set is None:
+        eid_set, isolated = _inner_edges(g, work)
+        if isolated:
+            raise ParameterError(f"vertex {min(isolated)} is isolated inside the working set")
     if any(not t for t in tsets):
         return _finish_edge(g, tsets, r_exact, work, "separator", None, None, ())
 

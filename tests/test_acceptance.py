@@ -257,8 +257,8 @@ def test_criterion_8_edge_lemma_contract(fuzz, monkeypatch):
     recorded = []
     original = engine.edge_tree_or_separator
 
-    def recording(g, targets, r, within=None, line=None):
-        res = original(g, targets, r, within=within, line=line)
+    def recording(g, targets, r, within=None, **kwargs):
+        res = original(g, targets, r, within=within, **kwargs)
         recorded.append((g, [tuple(sorted(t)) for t in targets], r,
                          tuple(sorted(within)) if within is not None else None,
                          res.kind))

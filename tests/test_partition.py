@@ -6,11 +6,13 @@ import sys
 import pytest
 
 from edgesep import (Graph, KtCertificate, Params, RootedInstance, components,
-                     exact_treewidth, has_kt_minor, induction_step, line_graph,
+                     exact_treewidth, has_kt_minor, induced_edge_ids,
+                     induction_step, line_graph,
                      line_graph_tree_decomposition,
                      partition_line_graph, validate_certificate,
                      validate_decomposition, validate_embedding,
                      validate_partition, width)
+from edgesep import partition as engine
 from edgesep.errors import ParameterError
 from edgesep.tree_or_sep import CONTRACT_STATS
 from edgesep.generators import complete, cycle, grid, outerplanar, path, random_tree, star
@@ -200,6 +202,32 @@ class TestRecursion:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestCarriedInnerEdges:
+    # searches with h >= 2 targets; at t = 4 the grids end in a certificate,
+    # and a tree never needs one
+    @pytest.mark.parametrize("make, t, searches", [
+        (lambda: grid(20, 20), 4, 3), (lambda: grid(20, 20), 5, 53),
+        (lambda: grid(8, 60), 4, 3), (lambda: grid(8, 60), 5, 96),
+        (lambda: outerplanar(300, 300), 4, 103), (lambda: outerplanar(300, 300), 5, 103),
+        (lambda: random_tree(500, 500), 4, 0), (lambda: random_tree(500, 500), 5, 0),
+    ], ids=["grid-20-t4", "grid-20-t5", "grid-8x60-t4", "grid-8x60-t5",
+            "outerplanar-300-t4", "outerplanar-300-t5", "tree-500-t4", "tree-500-t5"])
+    def test_every_search_gets_exactly_e_of_c(self, make, t, searches, monkeypatch):
+        original = engine.edge_tree_or_separator
+        checked = []
+
+        def checking(g, targets, r, within=None, line=None, inner=None):
+            if len(targets) >= 2:
+                assert inner is not None
+                assert set(inner) == set(induced_edge_ids(g, within))
+                checked.append(len(inner))
+            return original(g, targets, r, within=within, line=line, inner=inner)
+
+        monkeypatch.setattr(engine, "edge_tree_or_separator", checking)
+        partition_line_graph(make(), t)
+        assert len(checked) == searches
 
 
 class TestLineGraphDecomposition:

@@ -67,6 +67,27 @@ class TestBalancedSeparator:
         sep = balanced_edge_separator(grid(4, 4), uniform_weights(16), 5)
         assert sep.edges and len(calls) == 1
 
+    def test_mixed_denominators_summing_to_one_are_accepted(self):
+        w = (frac(1, 2), frac(1, 3), frac(1, 12), frac(1, 20), frac(1, 30), Fraction(0))
+        assert sum(w) == 1
+        separator_module.check_weights(Graph(6), w)
+
+    def test_a_sum_just_below_one_is_rejected(self):
+        eps = Fraction(1, 10 ** 30)
+        w = (HALF - eps, frac(1, 4), frac(1, 4))
+        with pytest.raises(ParameterError, match="sum"):
+            separator_module.check_weights(Graph(3), w)
+
+    def test_the_first_bad_weight_is_named(self):
+        w = [Fraction(0)] * 7
+        w[2] = frac(3, 5)
+        w[5] = 0.5
+        with pytest.raises(ParameterError, match="vertex 2 outside"):
+            separator_module.check_weights(Graph(7), w)
+        w[2] = frac(-1, 7)
+        with pytest.raises(ParameterError, match="vertex 2 outside"):
+            separator_module.check_weights(Graph(7), w)
+
     def test_zero_weight_vertices_are_legal(self):
         g = grid(2, 3)
         w = (HALF, HALF, Fraction(0), Fraction(0), Fraction(0), Fraction(0))

@@ -1,13 +1,16 @@
 """Tree-or-separator subroutines: examples, contracts, minimalization."""
 
+import sys
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgesep import (Graph, components, edge_tree_or_separator, line_graph,
-                     minimalize_edge_separator, vertex_tree_or_separator)
+from edgesep import (Graph, components, edge_tree_or_separator,
+                     induced_edge_ids, line_graph, minimalize_edge_separator,
+                     vertex_tree_or_separator)
+from edgesep import tree_or_sep
 from edgesep.errors import ParameterError
 from edgesep.generators import grid, path
 from edgesep.oracles import edge_lemma_contract_check
@@ -122,6 +125,59 @@ class TestLocality:
         assert adj.reads <= 16
 
 
+def _scheme_components(monkeypatch):
+    """Record the ``within`` of every ``components`` call made by the search."""
+    seen = []
+    original = tree_or_sep.components
+
+    def recording(g, within=None, banned_edges=()):
+        out = original(g, within=within, banned_edges=banned_edges)
+        if sys._getframe(1).f_code.co_name == "_vertex_scheme":
+            seen.append((frozenset(within), out))
+        return out
+
+    monkeypatch.setattr(tree_or_sep, "components", recording)
+    return seen
+
+
+class TestBallComponents:
+    """The searched ball is one component whenever its sources are connected."""
+
+    def test_connected_sources_cost_only_their_own_check(self, monkeypatch):
+        # the edges at row 0 and column 0: BFS fronts shrink toward the far
+        # corner, so the search keeps many layers as its ball
+        g = grid(30, 30)
+        lg = line_graph(g)[0]
+        far = {e for i in range(30) for v in (i, 30 * i) for e in g.adj_eids[v]}
+        near = g.adj_eids[25 * 30 + 25]
+        seen = _scheme_components(monkeypatch)
+        vertex_tree_or_separator(lg, [near, far], 12, within=frozenset(range(g.m)))
+        assert seen and sum(len(within) for within, _ in seen) <= len(far)
+
+    # two copies of x1 - p - s - q - x2 with two leaves on s, bridged x2 - x1';
+    # the sources s = 0 and s' = 7 are apart, and so are the balls around them
+    GADGET = [(0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (0, 6)]
+    TWIN_STARS = Graph(14, GADGET + [(u + 7, v + 7) for u, v in GADGET] + [(4, 10)])
+
+    # measured before the shortcut was added
+    @pytest.mark.parametrize("targets, r, kind, tree_vertices, tree_edges, separator", [
+        ([(1, 8), (2, 9), (0, 7)], 3, "separator", None, None, (0, 3, 4, 7, 10, 11)),
+        ([(1, 8), (2, 9), (0, 7)], 4, "tree", (0, 1, 2), ((0, 1), (0, 2)), None),
+        # the component holding the least vertex misses the first target
+        ([(8,), (9,), (0, 7)], 4, "tree", (7, 8, 9), ((7, 8), (7, 9)), None),
+    ], ids=["both-separate", "first-has-tree", "least-misses"])
+    def test_split_balls_keep_their_results(self, monkeypatch, targets, r, kind,
+                                            tree_vertices, tree_edges, separator):
+        g = self.TWIN_STARS
+        assert len(components(g, within=targets[-1])) == 2
+        seen = _scheme_components(monkeypatch)
+        res = vertex_tree_or_separator(g, targets, r)
+        assert (res.kind, res.tree_vertices, res.tree_edges, res.separator) == \
+            (kind, tree_vertices, tree_edges, separator)
+        assert [out for within, out in seen if len(within) == 10] == \
+            [[(0, 1, 2, 5, 6), (7, 8, 9, 12, 13)]]
+
+
 class TestMinimalize:
     def test_both_middle_edges_collapse_to_one(self):
         g = path(5)
@@ -198,3 +254,26 @@ class TestContracts:
         res = vertex_tree_or_separator(g, targets, r)
         assert res.kind in ("tree", "separator")
         assert res.c_sep >= 1
+
+
+@st.composite
+def connected_views(draw):
+    """A lemma instance on a connected view of at least two vertices."""
+    g, targets, r = draw(lemma_instances())
+    start = draw(st.integers(0, g.n - 1))
+    order = [start]
+    for v in order:                 # BFS order: each prefix is connected
+        order.extend(u for u in g.adj[v] if u not in order)
+    assume(len(order) >= 2)
+    view = frozenset(order[:draw(st.integers(2, len(order)))])
+    return g, [tuple(v for v in t if v in view) for t in targets], r, view
+
+
+class TestCarriedInnerEdges:
+    @SETTINGS
+    @given(connected_views())
+    def test_given_inner_edges_change_nothing(self, inst):
+        g, targets, r, view = inst
+        inner = set(induced_edge_ids(g, view))
+        assert edge_tree_or_separator(g, targets, r, within=view, inner=inner) == \
+            edge_tree_or_separator(g, targets, r, within=view)

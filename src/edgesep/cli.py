@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: gen, partition, tdlg, separate, iso, verify, oracle, bench.
+Subcommands: gen, partition, tdlg, separate, iso, verify, oracle.
 All outputs are canonical JSON on stdout (``gen`` emits graph text) so that
 identical inputs and seeds produce byte-identical output; wall-clock timings
 are only included when --timings is passed.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -60,28 +59,22 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out")
     g.set_defaults(func=_cmd_gen)
 
-    for name, fn, extra in (
-        ("partition", _cmd_partition, ("--td-out",)),
-        ("tdlg", _cmd_tdlg, ("--td-out",)),
-        ("iso", _cmd_iso, ()),
+    for name, report, extra in (
+        ("partition", _partition_report, (("--td-out", {}),)),
+        ("tdlg", _tdlg_report, (("--td-out", {}),)),
+        ("separate", _separate_report, (
+            ("--weights", {"help": "weights file '<vertex> <num>/<den>'"}),
+            ("--uniform", {"action": "store_true"}))),
+        ("iso", _iso_report, ()),
     ):
         c = sub.add_parser(name)
         c.add_argument("graph", nargs="?", help="graph file; stdin when omitted")
         c.add_argument("--t", type=int, required=True)
         c.add_argument("--out")
         c.add_argument("--timings", action="store_true")
-        for flag in extra:
-            c.add_argument(flag)
-        c.set_defaults(func=fn)
-
-    s = sub.add_parser("separate")
-    s.add_argument("graph", nargs="?")
-    s.add_argument("--t", type=int, required=True)
-    s.add_argument("--weights", help="weights file '<vertex> <num>/<den>'")
-    s.add_argument("--uniform", action="store_true")
-    s.add_argument("--out")
-    s.add_argument("--timings", action="store_true")
-    s.set_defaults(func=_cmd_separate)
+        for flag, kwargs in extra:
+            c.add_argument(flag, **kwargs)
+        c.set_defaults(func=_cmd_artifact, report=report)
 
     v = sub.add_parser("verify")
     v.add_argument("kind", choices=("partition", "td", "separator", "model"))
@@ -99,25 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--weights")
     o.add_argument("--out")
     o.set_defaults(func=_cmd_oracle)
-
-    b = sub.add_parser("bench")
-    b.add_argument("--family", required=True, choices=generators.FAMILIES)
-    b.add_argument("--sizes", required=True, help="comma-separated sizes")
-    b.add_argument("--t", type=int, required=True)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out")
-    b.set_defaults(func=_cmd_bench)
     return p
 
 
 # ------------------------------------------------------------------ helpers
-
-def _read_graph(args) -> Graph:
-    if getattr(args, "graph", None):
-        with open(args.graph) as fh:
-            return parse_graph(fh.read())
-    return parse_graph(sys.stdin.read())
-
 
 def _read_text(path_or_none) -> str:
     if path_or_none:
@@ -126,8 +104,17 @@ def _read_text(path_or_none) -> str:
     return sys.stdin.read()
 
 
+def _read_graph(args) -> Graph:
+    return parse_graph(_read_text(args.graph))
+
+
+def _read_weights(args, n: int) -> tuple:
+    """The ``--weights`` file, or uniform weights when none is given."""
+    return parse_weights(_read_text(args.weights), n) if args.weights else uniform_weights(n)
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -173,12 +160,6 @@ def _certificate_report(g: Graph, cert: KtCertificate) -> dict:
     }
 
 
-def _maybe_timings(report: dict, args, started: float) -> dict:
-    if getattr(args, "timings", False):
-        report["timings"] = {"wall_s": time.perf_counter() - started}
-    return report
-
-
 # ------------------------------------------------------------------ commands
 
 def _cmd_gen(args) -> int:
@@ -187,20 +168,41 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_partition(args) -> int:
+def _cmd_artifact(args) -> int:
+    """partition, tdlg, separate, iso: read G, solve, then report.
+
+    The solve step either meets a K_t model, reported as a certificate with
+    exit 3, or hands its result to the command's own report.
+    """
     g = _read_graph(args)
+    weights = None
+    if args.command == "separate":
+        if args.weights and args.uniform:
+            raise ParameterError("choose either --weights or --uniform")
+        weights = _read_weights(args, g.n)
     started = time.perf_counter()
-    res = partition_line_graph(g, args.t)
+    if args.command == "iso":
+        res = isoperimetric_witness(g, args.t)
+    else:
+        res = partition_line_graph(g, args.t)
     if isinstance(res, KtCertificate):
         _emit(args, _json(_certificate_report(g, res)))
         return 3
+    report, code = args.report(g, args, res, weights)
+    if args.timings:
+        report["timings"] = {"wall_s": time.perf_counter() - started}
+    _emit(args, _json(report))
+    return code
+
+
+def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
     part = res.partition
     ok_p, why_p = validate_partition(g, part, res.params)
     ok_e, why_e = validate_embedding(g, part, res.embedding, res.params)
     if args.td_out:
         with open(args.td_out, "w") as fh:
             fh.write(emit_decomposition(part.decomp, len(part.parts)))
-    report = {
+    return {
         "schema": SCHEMA,
         "kind": "partition",
         "input_digest": graph_digest(g),
@@ -217,20 +219,12 @@ def _cmd_partition(args) -> int:
         },
         "validators": {"partition": ok_p, "embedding": ok_e,
                        "violation": why_p or why_e},
-    }
-    _emit(args, _json(_maybe_timings(report, args, started)))
-    return 0 if ok_p and ok_e else 1
+    }, 0 if ok_p and ok_e else 1
 
 
-def _cmd_tdlg(args) -> int:
-    g = _read_graph(args)
-    started = time.perf_counter()
-    res = partition_line_graph(g, args.t)
-    if isinstance(res, KtCertificate):
-        _emit(args, _json(_certificate_report(g, res)))
-        return 3
+def _tdlg_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
     blowup = product_blowup(res.partition.decomp, res.partition.parts)
-    lg, _ = line_graph(g)
+    lg = line_graph(g)
     ok, why = validate_decomposition(lg, blowup)
     w = width(blowup)
     bound = (args.t - 1) * res.params.p_floor() - 1
@@ -238,7 +232,7 @@ def _cmd_tdlg(args) -> int:
     if args.td_out:
         with open(args.td_out, "w") as fh:
             fh.write(td_text)
-    report = {
+    return {
         "schema": SCHEMA,
         "kind": "line-graph-decomposition",
         "input_digest": graph_digest(g),
@@ -248,17 +242,16 @@ def _cmd_tdlg(args) -> int:
         "within_bound": w <= bound,
         "td": td_text,
         "validators": {"decomposition": ok, "violation": why},
-    }
-    _emit(args, _json(_maybe_timings(report, args, started)))
-    return 0 if ok and w <= bound else 1
+    }, 0 if ok and w <= bound else 1
 
 
-def _separator_report(g: Graph, params: Params, sep) -> dict:
+def _separate_report(g: Graph, args, res, weights) -> tuple[dict, int]:
+    sep = separator_from_partition(g, res, weights)
     return {
         "schema": SCHEMA,
         "kind": "separator",
         "input_digest": graph_digest(g),
-        "params": None if params is None else _params_json(g, params),
+        "params": _params_json(g, res.params),
         "edges": list(sep.edges),
         "components": [{"vertices": list(c), "weight": format_fraction(wt)}
                        for c, wt in sep.components],
@@ -268,36 +261,11 @@ def _separator_report(g: Graph, params: Params, sep) -> dict:
         "anchors": list(sep.anchors),
         "achieved_size": len(sep.edges),
         "balance_ok": all(wt <= Fraction(1, 2) for _, wt in sep.components),
-    }
+    }, 0
 
 
-def _cmd_separate(args) -> int:
-    g = _read_graph(args)
-    if args.weights and args.uniform:
-        raise ParameterError("choose either --weights or --uniform")
-    if args.weights:
-        w = parse_weights(_read_text(args.weights), g.n)
-    else:
-        w = uniform_weights(g.n)
-    started = time.perf_counter()
-    res = partition_line_graph(g, args.t)
-    if isinstance(res, KtCertificate):
-        _emit(args, _json(_certificate_report(g, res)))
-        return 3
-    sep = separator_from_partition(g, res, w)
-    report = _separator_report(g, res.params, sep)
-    _emit(args, _json(_maybe_timings(report, args, started)))
-    return 0
-
-
-def _cmd_iso(args) -> int:
-    g = _read_graph(args)
-    started = time.perf_counter()
-    wit = isoperimetric_witness(g, args.t)
-    if isinstance(wit, KtCertificate):
-        _emit(args, _json(_certificate_report(g, wit)))
-        return 3
-    report = {
+def _iso_report(g: Graph, args, wit, _weights) -> tuple[dict, int]:
+    return {
         "schema": SCHEMA,
         "kind": "witness",
         "input_digest": graph_digest(g),
@@ -307,9 +275,7 @@ def _cmd_iso(args) -> int:
         "window": [-(-g.n // 3), g.n // 2],
         "cut_size": wit.cut_size,
         "ratio": format_fraction(wit.ratio),
-    }
-    _emit(args, _json(_maybe_timings(report, args, started)))
-    return 0
+    }, 0
 
 
 def _cmd_verify(args) -> int:
@@ -317,7 +283,7 @@ def _cmd_verify(args) -> int:
     text = _read_text(args.artifact)
     if args.kind == "td":
         d, declared_n = parse_decomposition(text)
-        target, _ = line_graph(g) if args.line else (g, None)
+        target = line_graph(g) if args.line else g
         ok, why = validate_decomposition(target, d)
         if ok and declared_n != target.n:
             ok, why = False, "vertex coverage: declared vertex count mismatch"
@@ -441,47 +407,19 @@ def _cmd_oracle(args) -> int:
     if args.which == "tw":
         report["treewidth"] = oracles.exact_treewidth(g)
     elif args.which == "sep":
-        w = (parse_weights(_read_text(args.weights), g.n)
-             if args.weights else uniform_weights(g.n))
-        f = oracles.min_balanced_edge_separator(g, w)
+        f = oracles.min_balanced_edge_separator(g, _read_weights(args, g.n))
         report["edges"] = list(f)
         report["size"] = len(f)
     elif args.which == "iso":
         report["phi"] = format_fraction(oracles.exact_isoperimetric(g))
     else:
-        if not args.t:
+        if args.t is None:
             raise ParameterError("oracle minor requires --t")
         found, model = oracles.has_kt_minor(g, args.t)
         report["t"] = args.t
         report["has_minor"] = found
         report["model"] = [list(s) for s in model] if model else None
     _emit(args, _json(report))
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = []
-    for size in sizes:
-        if args.family in ("grid", "toroidal-grid"):
-            g = generators.generate(args.family, [size, size], args.seed)
-        else:
-            g = generators.generate(args.family, [size], args.seed)
-        times = []
-        outcome = None
-        for _ in range(3):
-            t0 = time.perf_counter()
-            res = partition_line_graph(g, args.t)
-            if not isinstance(res, KtCertificate):
-                separator_from_partition(g, res, uniform_weights(g.n))
-                outcome = "separator"
-            else:
-                outcome = "certificate"
-            times.append(time.perf_counter() - t0)
-        rows.append({"family": args.family, "size": size, "n": g.n, "m": g.m,
-                     "t": args.t, "outcome": outcome,
-                     "median_s": statistics.median(times)})
-    _emit(args, _json({"schema": SCHEMA, "kind": "bench", "rows": rows}))
     return 0
 
 

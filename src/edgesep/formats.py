@@ -164,17 +164,3 @@ def parse_weights(text: str, n: int) -> tuple:
 def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
-
-def tree_or_separator_json(tos) -> dict:
-    """JSON-ready trace of a tree-or-separator invocation, for debugging."""
-    return {
-        "flavor": tos.flavor,
-        "kind": tos.kind,
-        "h": tos.h,
-        "c_sep": tos.c_sep,
-        "achieved": format_fraction(tos.achieved),
-        "tree_vertices": list(tos.tree_vertices) if tos.tree_vertices else None,
-        "tree_edges": [list(e) if isinstance(e, tuple) else e
-                       for e in tos.tree_edges] if tos.tree_edges else None,
-        "separator": list(tos.separator) if tos.separator is not None else None,
-    }

@@ -10,7 +10,6 @@ All operations are pure and deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 # Sorted tuples of ids; plain tuples keep the values hashable and canonical.
@@ -183,13 +182,8 @@ def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
     return tuple(out)
 
 
-def line_graph(g: Graph) -> tuple[Graph, tuple]:
-    """Line graph of g plus the edge-id -> line-vertex-id bijection.
-
-    Line vertices are the edge ids of g in their canonical order, so the
-    bijection is the identity; it is returned explicitly so callers never
-    have to assume that.
-    """
+def line_graph(g: Graph) -> Graph:
+    """Line graph of g; line vertex i is the edge of g with id i."""
     pairs = []
     for v in range(g.n):
         eids = g.adj_eids[v]
@@ -197,24 +191,7 @@ def line_graph(g: Graph) -> tuple[Graph, tuple]:
             for j in range(i + 1, len(eids)):
                 a, b = eids[i], eids[j]
                 pairs.append((a, b) if a < b else (b, a))
-    return Graph(g.m, pairs), tuple(range(g.m))
-
-
-def is_connected_set(g: Graph, xs: Iterable[int]) -> bool:
-    """True iff the induced subgraph on xs is connected (empty sets are not)."""
-    xs = set(xs)
-    if not xs:
-        return False
-    start = min(xs)
-    seen = {start}
-    dq = deque((start,))
-    while dq:
-        v = dq.popleft()
-        for u in g.adj[v]:
-            if u in xs and u not in seen:
-                seen.add(u)
-                dq.append(u)
-    return seen == xs
+    return Graph(g.m, pairs)
 
 
 def validate_model(g: Graph, branch_sets) -> tuple[bool, Optional[str]]:
@@ -231,7 +208,7 @@ def validate_model(g: Graph, branch_sets) -> tuple[bool, Optional[str]]:
             return False, f"disjointness: branch set {i} overlaps an earlier one"
         seen.update(s)
     for i, s in enumerate(sets):
-        if not is_connected_set(g, s):
+        if len(components(g, within=s)) != 1:
             return False, f"connectivity: branch set {i} is not connected"
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):

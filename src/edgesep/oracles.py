@@ -13,9 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import OracleLimitError
+from .errors import OracleLimitError, ParameterError
 from .exact import as_exact
-from .graphs import Graph, components, edges_between, induced_edge_ids
+from .graphs import Graph, components, induced_edge_ids
 from .tree_or_sep import edge_tree_or_separator
 
 HALF = Fraction(1, 2)
@@ -89,35 +89,6 @@ def exact_treewidth(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> int:
     return f[(1 << n) - 1]
 
 
-def treewidth_by_orderings(g: Graph, limit: int = 8) -> int:
-    """Second, independent strategy: branch over elimination orderings."""
-    if g.n > limit:
-        raise OracleLimitError("treewidth_by_orderings: too many vertices")
-    if g.n == 0:
-        return -1
-    best = [g.n - 1]
-    adj0 = {v: set(g.adj[v]) for v in range(g.n)}
-
-    def go(adj, cur):
-        if cur >= best[0]:
-            return
-        if len(adj) <= 1:
-            best[0] = cur
-            return
-        for v in sorted(adj):
-            deg = len(adj[v])
-            if max(cur, deg) >= best[0]:
-                continue
-            nxt = {u: set(s) for u, s in adj.items() if u != v}
-            for u in adj[v]:
-                nxt[u].discard(v)
-                nxt[u].update(adj[v] - {u})
-            go(nxt, max(cur, deg))
-
-    go(adj0, 0)
-    return best[0]
-
-
 # ------------------------------------------------------------- separators
 
 def min_balanced_edge_separator(g: Graph, w,
@@ -125,7 +96,9 @@ def min_balanced_edge_separator(g: Graph, w,
     """Minimum-cardinality F with all components of G - F of weight <= 1/2."""
     _guard(g.m, limits.max_edges_sep, "min_balanced_edge_separator")
     if len(w) != g.n:
-        raise ValueError("weight function must cover every vertex")
+        raise ParameterError("weight function must cover every vertex")
+    if any(x > HALF for x in w):
+        raise ParameterError("a vertex weighs more than 1/2, so no edge set balances")
     for size in range(g.m + 1):
         for f in combinations(range(g.m), size):
             ok = True
@@ -145,7 +118,7 @@ def exact_isoperimetric(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Frac
     _guard(g.n, limits.max_vertices_iso, "exact_isoperimetric")
     n = g.n
     if n < 2:
-        raise ValueError("isoperimetric number needs at least 2 vertices")
+        raise ParameterError("isoperimetric number needs at least 2 vertices")
     adj = [0] * n
     for u, v in g.edges:
         adj[u] |= 1 << v
@@ -175,7 +148,7 @@ def has_kt_minor(g: Graph, t: int,
     """Exhaustive K_t-model search; returns (found, model or None)."""
     _guard(g.n, limits.max_vertices_minor, "has_kt_minor")
     if t < 1:
-        raise ValueError("t must be positive")
+        raise ParameterError("t must be positive")
     n = g.n
     if n < t or (t >= 2 and g.m < t * (t - 1) // 2):
         return False, None
@@ -237,34 +210,6 @@ def has_kt_minor(g: Graph, t: int,
     if model is None:
         return False, None
     return True, model
-
-
-def kt_minor_by_assignment(g: Graph, t: int, limit: int = 6
-                           ) -> bool:
-    """Second, independent strategy: brute-force label assignment."""
-    if g.n > limit:
-        raise OracleLimitError("kt_minor_by_assignment: too many vertices")
-    from itertools import product
-
-    from .graphs import is_connected_set
-    n = g.n
-    for labels in product(range(t + 1), repeat=n):
-        sets = [[v for v in range(n) if labels[v] == i + 1] for i in range(t)]
-        if any(not s for s in sets):
-            continue
-        if any(not is_connected_set(g, s) for s in sets):
-            continue
-        ok = True
-        for i in range(t):
-            for j in range(i + 1, t):
-                if not edges_between(g, sets[i], sets[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 # ------------------------------------------------------------- lemma check

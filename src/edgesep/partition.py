@@ -470,7 +470,7 @@ def check_instance(g: Graph, inst: RootedInstance, params: Params) -> None:
 def induction_step(g: Graph, inst: RootedInstance, params: Params) -> EngineOutcome:
     """One certified run of the recursion on an explicit rooted instance."""
     check_instance(g, inst, params)
-    lg, _ = line_graph(g)
+    lg = line_graph(g)
     out = _Builder()
     roots = tuple(out.slot(frozenset(e)) for e in inst.roots)
     node = _run(g, lg, params, out, _Call(
@@ -490,7 +490,7 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
     and the vertex itself the first model set.
     """
     params = Params.for_graph(g, t)
-    lg, _ = line_graph(g)
+    lg = line_graph(g)
     out = _Builder()
     node = None
     roots: tuple = ()

@@ -24,10 +24,6 @@ from .exact import SqrtExpr, as_exact
 from .graphs import (EdgeSet, Graph, VertexSet, bfs_layers, components,
                      induced_edge_ids, line_graph)
 
-#: running count of contract re-verifications, by flavor; tests read this
-CONTRACT_STATS = {"vertex": 0, "edge": 0}
-
-
 def _view(g: Graph, within) -> frozenset:
     """The working vertex set; a caller's set is used as is, not copied."""
     if within is None:
@@ -172,7 +168,6 @@ def _extend_to(g, comp, target, tree_verts, tree_edges):
 
 def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
     """Exact re-check of the vertex contract; AssertionError means a bug."""
-    CONTRACT_STATS["vertex"] += 1
     h = len(tsets)
     if res.kind == "tree":
         verts = set(res.tree_vertices)
@@ -255,7 +250,7 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     if any(not t for t in tsets):
         return _finish_edge(g, tsets, r_exact, work, "separator", None, None, ())
 
-    lg = line if line is not None else line_graph(g)[0]
+    lg = line if line is not None else line_graph(g)
     line_targets = [_incidence_edges(g, t, eid_set) for t in tsets]
     sub = vertex_tree_or_separator(lg, line_targets, r_exact, within=eid_set)
 
@@ -338,7 +333,6 @@ def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep) -> TreeOrSeparator:
 
 def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
     """Exact re-check of the edge contract; AssertionError means a bug."""
-    CONTRACT_STATS["edge"] += 1
     h = len(tsets)
     if res.kind == "tree":
         verts = set(res.tree_vertices)

@@ -81,13 +81,13 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> tuple[bool, Option
             return False, "tree structure: bad tree edge"
     if len(set(tuple(sorted(e)) for e in d.tree_edges)) != len(d.tree_edges):
         return False, "tree structure: duplicate tree edge"
+    nbrs = [[] for _ in range(k)]
+    for a, b in d.tree_edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
     if k > 0:
         if len(d.tree_edges) != k - 1:
             return False, "tree structure: edge count is not nodes-1"
-        nbrs = [[] for _ in range(k)]
-        for a, b in d.tree_edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
         seen = {0}
         dq = deque((0,))
         while dq:
@@ -117,24 +117,19 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> tuple[bool, Option
         if not any(v in bag_sets[i] for i in nodes_of.get(u, ())):
             return False, f"edge coverage: edge ({u},{v}) in no bag"
 
-    if k > 0:
-        nbrs = [[] for _ in range(k)]
-        for a, b in d.tree_edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        for v, nodes in nodes_of.items():
-            node_set = set(nodes)
-            start = nodes[0]
-            seen = {start}
-            dq = deque((start,))
-            while dq:
-                x = dq.popleft()
-                for y in nbrs[x]:
-                    if y in node_set and y not in seen:
-                        seen.add(y)
-                        dq.append(y)
-            if seen != node_set:
-                return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
+    for v, nodes in nodes_of.items():
+        node_set = set(nodes)
+        start = nodes[0]
+        seen = {start}
+        dq = deque((start,))
+        while dq:
+            x = dq.popleft()
+            for y in nbrs[x]:
+                if y in node_set and y not in seen:
+                    seen.add(y)
+                    dq.append(y)
+        if seen != node_set:
+            return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
 
     if d.designated is not None:
         if not (0 <= d.designated < k):

@@ -26,7 +26,6 @@ from edgesep.formats import emit_graph
 from edgesep.generators import (complete, cycle, grid, outerplanar, path,
                                 random_tree, star, toroidal_grid)
 from edgesep.oracles import OracleLimits, edge_lemma_contract_check
-from edgesep.tree_or_sep import CONTRACT_STATS
 from edgesep.treedecomp import product_blowup
 
 HALF = Fraction(1, 2)
@@ -58,30 +57,29 @@ def _fuzz_instances():
 
 
 @pytest.fixture(scope="module")
-def fuzz():
+def fuzz(contract_checks):
     instances = _fuzz_instances()
-    before = dict(CONTRACT_STATS)
     failures = []
     runs = []
     t0 = time.perf_counter()
-    for t in (3, 4, 5):
-        for label, g in instances:
-            res = partition_line_graph(g, t)
-            if isinstance(res, KtCertificate):
-                ok, why = validate_certificate(g, res)
-                if not ok or len(res.branch_sets) != t:
-                    failures.append((label, t, "certificate", why))
-                runs.append((label, g, t, res, None))
-            else:
-                ok_p, why_p = validate_partition(g, res.partition, res.params)
-                ok_e, why_e = validate_embedding(g, res.partition,
-                                                 res.embedding, res.params)
-                if not (ok_p and ok_e):
-                    failures.append((label, t, "partition", why_p or why_e))
-                blow = product_blowup(res.partition.decomp, res.partition.parts)
-                runs.append((label, g, t, res, width(blow)))
+    with contract_checks() as checks:
+        for t in (3, 4, 5):
+            for label, g in instances:
+                res = partition_line_graph(g, t)
+                if isinstance(res, KtCertificate):
+                    ok, why = validate_certificate(g, res)
+                    if not ok or len(res.branch_sets) != t:
+                        failures.append((label, t, "certificate", why))
+                    runs.append((label, g, t, res, None))
+                else:
+                    ok_p, why_p = validate_partition(g, res.partition, res.params)
+                    ok_e, why_e = validate_embedding(g, res.partition,
+                                                     res.embedding, res.params)
+                    if not (ok_p and ok_e):
+                        failures.append((label, t, "partition", why_p or why_e))
+                    blow = product_blowup(res.partition.decomp, res.partition.parts)
+                    runs.append((label, g, t, res, width(blow)))
     elapsed = time.perf_counter() - t0
-    checks = {k: CONTRACT_STATS[k] - before.get(k, 0) for k in CONTRACT_STATS}
     return {"runs": runs, "failures": failures, "elapsed": elapsed,
             "checks": checks}
 
@@ -154,7 +152,7 @@ def test_criterion_3_oracle_equivalence():
         tw_h = exact_treewidth(hg, limits)
         if tw_h > 3:
             violations.append((g.edges, f"tw(H)={tw_h}"))
-        lg, _ = line_graph(g)
+        lg = line_graph(g)
         blow = product_blowup(res.partition.decomp, res.partition.parts)
         tw_l = exact_treewidth(lg, limits)
         if tw_l > max(width(blow), -1):

@@ -3,13 +3,15 @@
 import hashlib
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from edgesep import Graph, cli
 from edgesep.cli import main
 from edgesep.formats import emit_graph
-from edgesep.generators import complete, grid, outerplanar, path, random_tree, star
+from edgesep.generators import (complete, grid, outerplanar, path, random_tree,
+                                star, toroidal_grid)
 
 
 def run_cli(argv):
@@ -17,6 +19,21 @@ def run_cli(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def run_cli_stderr(argv):
+    """Exit code and stderr of one run."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture
+def one_vertex_file(tmp_path):
+    p = tmp_path / "k1.gr"
+    p.write_text(emit_graph(Graph(1)))
+    return str(p)
 
 
 @pytest.fixture
@@ -39,6 +56,12 @@ class TestGen:
     def test_missing_input_file_is_usage_error(self):
         code, _ = run_cli(["partition", "/nonexistent/g.gr", "--t", "4"])
         assert code == 2
+
+    def test_help_lists_the_subcommands(self):
+        buf = io.StringIO()
+        with redirect_stdout(buf), pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{gen,partition,tdlg,separate,iso,verify,oracle}" in buf.getvalue()
 
 
 class TestPartition:
@@ -107,6 +130,22 @@ class TestSeparate:
                            "--weights", str(w)])
         assert code == 2
 
+    def test_one_vertex_graph_is_a_usage_error(self, one_vertex_file):
+        code, err = run_cli_stderr(["separate", one_vertex_file, "--t", "5", "--uniform"])
+        assert code == 2
+        assert "uniform weights need at least 2 vertices" in err
+
+    def test_malformed_weights_fail_before_any_partition(self, grid_file, tmp_path,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "partition_line_graph", lambda *a: calls.append(a))
+        w = tmp_path / "w.w"
+        w.write_text("1 x/y\n")
+        code, err = run_cli_stderr(["separate", grid_file, "--t", "5",
+                                    "--weights", str(w)])
+        assert code == 2 and "malformed weight" in err
+        assert calls == []
+
 
 class TestIso:
     def test_grid_witness(self, grid_file):
@@ -115,6 +154,11 @@ class TestIso:
         data = json.loads(out)
         lo, hi = data["window"]
         assert lo <= data["size"] <= hi
+
+    def test_one_vertex_graph_is_a_usage_error(self, one_vertex_file):
+        code, err = run_cli_stderr(["iso", one_vertex_file, "--t", "5"])
+        assert code == 2
+        assert "isoperimetric witness needs at least 2 vertices" in err
 
 
 class TestVerify:
@@ -244,6 +288,27 @@ class TestOracleCommand:
         code, out = run_cli(["oracle", "sep", str(p)])
         assert code == 0 and json.loads(out)["size"] == 5
 
+    @pytest.mark.parametrize("argv, message", [
+        (["minor", "--t", "-3"], "error: t must be positive"),
+        (["minor", "--t", "0"], "error: t must be positive"),
+        (["minor"], "error: oracle minor requires --t"),
+    ], ids=["negative-t", "zero-t", "no-t"])
+    def test_bad_t_is_a_usage_error(self, grid_file, argv, message):
+        code, err = run_cli_stderr(["oracle", argv[0], grid_file, *argv[1:]])
+        assert code == 2 and message in err
+
+    def test_sep_with_a_vertex_heavier_than_half_is_a_usage_error(self, grid_file,
+                                                                  tmp_path):
+        w = tmp_path / "w.w"
+        w.write_text("1 1\n")
+        code, err = run_cli_stderr(["oracle", "sep", grid_file, "--weights", str(w)])
+        assert code == 2 and "weighs more than 1/2" in err
+
+    def test_iso_on_one_vertex_is_a_usage_error(self, one_vertex_file):
+        code, err = run_cli_stderr(["oracle", "iso", one_vertex_file])
+        assert code == 2
+        assert "error: isoperimetric number needs at least 2 vertices" in err
+
 
 class TestDeterminism:
     def test_partition_output_is_byte_identical(self, grid_file):
@@ -251,33 +316,40 @@ class TestDeterminism:
         assert len(outs) == 1
 
     # sha256 of stdout, recorded before the recursion ran on an explicit
-    # stack; part numbering, bags and |F| must not drift
+    # stack; part numbering, bags and |F| must not drift.  The tdlg digests
+    # were recorded before the artifact commands shared one driver.
     PINNED = {
         "path-300": (lambda: path(300),
                      "1ecc4e6452733eb43b0bb7e10fc987b5642550921c219e675934effda9df086d",
-                     "b4fc6297f2f160ca44c3f28ec30fbead435b207c322b1478179184a5c800f57b"),
+                     "b4fc6297f2f160ca44c3f28ec30fbead435b207c322b1478179184a5c800f57b",
+                     "1a382b6fea0689e55d52d58da97499178c71833f7dd24dc1121ed00b9de05dd0"),
         "grid-12": (lambda: grid(12, 12),
                     "1fe31b5cf722a09b4e87783b626c0ad17dae0b75d4077175ef88f9e2213d99fa",
-                    "dcf2ee243c36d891128e9bdc24b0ceda8c0df542a36eaf331d90c66deee6fdee"),
+                    "dcf2ee243c36d891128e9bdc24b0ceda8c0df542a36eaf331d90c66deee6fdee",
+                    "e37b8818a2b711256daf8e4c2abea14c913c3f3354210cfb92784c8d89f314b9"),
         # the only instance here whose recursion splits C at a separator
         "grid-20": (lambda: grid(20, 20),
                     "f04307a274bf14f4459e564ca33ad6ea6cadd14876844219a194a59661afdb58",
-                    "f9e1f408d7141abf2aa57fd308de5ec154588540e8e94946d57c5d0161349d95"),
+                    "f9e1f408d7141abf2aa57fd308de5ec154588540e8e94946d57c5d0161349d95",
+                    "b5ed8e75c3ff13e0d2e943e8ee045a41b2a2674625fe8f8874b53c26981c6101"),
         "tree-500": (lambda: random_tree(500, 500),
                      "64b2aea4b9236f99d6c769ae2fc923e23bb549f5fcd731d078a5265f9ac5f7fc",
-                     "d31e154ef775670c07a347b236b8505f5bba21a1a7dd14895b1c3ad12d054f3c"),
+                     "d31e154ef775670c07a347b236b8505f5bba21a1a7dd14895b1c3ad12d054f3c",
+                     "0bbbc473b1e1fd7d95325f3e20530cd82c82bb8b7a5ae9250991aa634378c8fc"),
         "outerplanar-300": (lambda: outerplanar(300, 300),
                             "4fc3b50c6c20da4c24fd586470c5426443a459f8da696650ad8a7353fa3862d2",
-                            "21ff69be3a500cd39871cd267d12c3d0de821f9fa68bff4eb580e733587eb114"),
+                            "21ff69be3a500cd39871cd267d12c3d0de821f9fa68bff4eb580e733587eb114",
+                            "5060b1278ad41009e1115445d886b0dde953d12938ed99ecd46fedeafb953748"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_outputs_match_pinned_digests(self, name, tmp_path):
-        make, partition_sha, separate_sha = self.PINNED[name]
+        make, partition_sha, separate_sha, tdlg_sha = self.PINNED[name]
         p = tmp_path / f"{name}.gr"
         p.write_text(emit_graph(make()))
         for argv, want in ((["partition", str(p), "--t", "5"], partition_sha),
-                           (["separate", str(p), "--t", "5", "--uniform"], separate_sha)):
+                           (["separate", str(p), "--t", "5", "--uniform"], separate_sha),
+                           (["tdlg", str(p), "--t", "5"], tdlg_sha)):
             code, out = run_cli(argv)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == want, argv[0]
@@ -306,17 +378,28 @@ class TestDeterminism:
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == want, command
 
+    # sha256 of the certificate report at t = 5, recorded before the artifact
+    # commands shared one driver; every command emits the same report
+    PINNED_CERTIFICATES = {
+        "complete-8": (lambda: complete(8),
+                       "b29ada21f143c77806edc7c668a5906644a0ca28d7beb2b6e5de3f843b7aa7c5"),
+        "toroidal-8x8": (lambda: toroidal_grid(8, 8),
+                         "85ea053b960e9212f6a8d7a216a3e9b359d1b3f9e5bc3e066e0693965fd8b931"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CERTIFICATES))
+    def test_certificate_reports_match_pinned_digests(self, name, tmp_path):
+        make, want = self.PINNED_CERTIFICATES[name]
+        p = tmp_path / f"{name}.gr"
+        p.write_text(emit_graph(make()))
+        for command in ("partition", "tdlg", "separate", "iso"):
+            extra = ["--uniform"] if command == "separate" else []
+            code, out = run_cli([command, str(p), "--t", "5", *extra])
+            assert code == 3
+            assert hashlib.sha256(out.encode()).hexdigest() == want, command
+
     def test_gen_is_byte_identical(self):
         a = run_cli(["gen", "random-tree", "25", "--seed", "11"])[1]
         b = run_cli(["gen", "random-tree", "25", "--seed", "11"])[1]
         assert a == b
 
-
-class TestBench:
-    def test_smoke(self):
-        code, out = run_cli(["bench", "--family", "path", "--sizes", "6,10",
-                             "--t", "3"])
-        assert code == 0
-        rows = json.loads(out)["rows"]
-        assert [r["size"] for r in rows] == [6, 10]
-        assert all(r["median_s"] >= 0 for r in rows)

@@ -85,19 +85,6 @@ class TestWeightsFormat:
             parse_weights("1 x/y\n", 2)
 
 
-class TestLemmaTrace:
-    def test_tree_and_separator_traces_serialize(self):
-        import json
-
-        from edgesep import edge_tree_or_separator
-        from edgesep.formats import tree_or_separator_json
-        tree = edge_tree_or_separator(path(5), [(0,), (4,)], 4)
-        sep = edge_tree_or_separator(path(5), [(0,), (4,)], 1)
-        for tos in (tree, sep):
-            blob = json.dumps(tree_or_separator_json(tos), sort_keys=True)
-            assert json.loads(blob)["kind"] == tos.kind
-
-
 class TestGenerators:
     def test_grid_3x3_shape(self):
         g = grid(3, 3)

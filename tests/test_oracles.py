@@ -1,20 +1,64 @@
 """Brute-force oracles: pinned values and second-strategy double checks."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from edgesep import (Graph, exact_isoperimetric, exact_treewidth, has_kt_minor,
-                     min_balanced_edge_separator, uniform_weights,
-                     validate_model)
-from edgesep.errors import OracleLimitError
+from edgesep import (Graph, components, edges_between, exact_isoperimetric,
+                     exact_treewidth, has_kt_minor, min_balanced_edge_separator,
+                     uniform_weights, validate_model)
+from edgesep.errors import OracleLimitError, ParameterError
 from edgesep.generators import complete, cycle, grid, path, random_tree, star
-from edgesep.oracles import (OracleLimits, edge_lemma_contract_check,
-                             kt_minor_by_assignment, treewidth_by_orderings)
+from edgesep.oracles import OracleLimits, edge_lemma_contract_check
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 6),
                       (2, 7), (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8),
                       (8, 5)])
+
+
+def treewidth_by_orderings(g: Graph, limit: int = 8) -> int:
+    """Second, independent strategy: branch over elimination orderings."""
+    if g.n > limit:
+        raise OracleLimitError("treewidth_by_orderings: too many vertices")
+    if g.n == 0:
+        return -1
+    best = [g.n - 1]
+    adj0 = {v: set(g.adj[v]) for v in range(g.n)}
+
+    def go(adj, cur):
+        if cur >= best[0]:
+            return
+        if len(adj) <= 1:
+            best[0] = cur
+            return
+        for v in sorted(adj):
+            deg = len(adj[v])
+            if max(cur, deg) >= best[0]:
+                continue
+            nxt = {u: set(s) for u, s in adj.items() if u != v}
+            for u in adj[v]:
+                nxt[u].discard(v)
+                nxt[u].update(adj[v] - {u})
+            go(nxt, max(cur, deg))
+
+    go(adj0, 0)
+    return best[0]
+
+
+def kt_minor_by_assignment(g: Graph, t: int, limit: int = 6) -> bool:
+    """Second, independent strategy: brute-force label assignment."""
+    if g.n > limit:
+        raise OracleLimitError("kt_minor_by_assignment: too many vertices")
+    n = g.n
+    for labels in product(range(t + 1), repeat=n):
+        sets = [[v for v in range(n) if labels[v] == i + 1] for i in range(t)]
+        if any(len(components(g, within=s)) != 1 for s in sets):
+            continue
+        if all(edges_between(g, sets[i], sets[j])
+               for i in range(t) for j in range(i + 1, t)):
+            return True
+    return False
 
 
 class TestExactTreewidth:
@@ -148,3 +192,24 @@ class TestEdgeLemmaCheck:
     def test_single_target_always_has_a_tree(self):
         report = edge_lemma_contract_check(path(5), [(3,)], 1)
         assert report.tree_exists and report.outcome == "tree"
+
+
+class TestPreconditions:
+    """A caller's bad argument is a ParameterError, the CLI's usage error."""
+
+    def test_nonpositive_t(self):
+        with pytest.raises(ParameterError, match="t must be positive"):
+            has_kt_minor(cycle(5), 0)
+
+    def test_isoperimetric_number_needs_two_vertices(self):
+        with pytest.raises(ParameterError, match="at least 2 vertices"):
+            exact_isoperimetric(Graph(1))
+
+    def test_weights_must_cover_every_vertex(self):
+        with pytest.raises(ParameterError, match="cover every vertex"):
+            min_balanced_edge_separator(path(4), uniform_weights(3))
+
+    def test_a_vertex_heavier_than_half_has_no_separator(self):
+        w = (Fraction(0), Fraction(1), Fraction(0))
+        with pytest.raises(ParameterError, match="more than 1/2"):
+            min_balanced_edge_separator(path(3), w)

@@ -14,7 +14,6 @@ from edgesep import (Graph, KtCertificate, Params, RootedInstance, components,
                      validate_partition, width)
 from edgesep import partition as engine
 from edgesep.errors import ParameterError
-from edgesep.tree_or_sep import CONTRACT_STATS
 from edgesep.generators import complete, cycle, grid, outerplanar, path, random_tree, star
 
 
@@ -183,11 +182,10 @@ class TestRecursion:
         (grid(32, 32), 101, 99),
         (grid(8, 60), 100, 96),
     ], ids=["path-500", "grid-20", "tree-500", "grid-32", "grid-8x60"])
-    def test_every_contract_check_still_runs(self, g, edge, vertex):
-        before = dict(CONTRACT_STATS)
-        partition_line_graph(g, 5)
-        assert CONTRACT_STATS["edge"] - before["edge"] == edge
-        assert CONTRACT_STATS["vertex"] - before["vertex"] == vertex
+    def test_every_contract_check_still_runs(self, g, edge, vertex, contract_checks):
+        with contract_checks() as checks:
+            partition_line_graph(g, 5)
+        assert checks == {"edge": edge, "vertex": vertex}
 
     def test_deep_path_runs_within_a_small_recursion_limit(self):
         limit = sys.getrecursionlimit()
@@ -239,7 +237,7 @@ class TestLineGraphDecomposition:
     def test_p3_single_bag(self):
         g = path(3)
         d = line_graph_tree_decomposition(g, 3)
-        lg, _ = line_graph(g)
+        lg = line_graph(g)
         ok, why = validate_decomposition(lg, d)
         assert ok, why
         assert width(d) == 1   # L(P_3) = K_2 in one blown-up bag
@@ -248,7 +246,7 @@ class TestLineGraphDecomposition:
         g = grid(4, 4)
         res = partition_line_graph(g, 5)
         d = line_graph_tree_decomposition(g, 5)
-        lg, _ = line_graph(g)
+        lg = line_graph(g)
         ok, why = validate_decomposition(lg, d)
         assert ok, why
         assert width(d) <= 4 * res.params.p_floor() - 1

@@ -102,7 +102,7 @@ class _CountingTuple(tuple):
 @pytest.fixture(scope="module")
 def long_path():
     g = path(200000)
-    return g, line_graph(g)[0], frozenset(range(g.n))
+    return g, line_graph(g), frozenset(range(g.n))
 
 
 class TestLocality:
@@ -147,7 +147,7 @@ class TestBallComponents:
         # the edges at row 0 and column 0: BFS fronts shrink toward the far
         # corner, so the search keeps many layers as its ball
         g = grid(30, 30)
-        lg = line_graph(g)[0]
+        lg = line_graph(g)
         far = {e for i in range(30) for v in (i, 30 * i) for e in g.adj_eids[v]}
         near = g.adj_eids[25 * 30 + 25]
         seen = _scheme_components(monkeypatch)

@@ -135,7 +135,7 @@ class TestProductBlowup:
         g = grid(3, 3)
         res = partition_line_graph(g, 5)
         blown = product_blowup(res.partition.decomp, res.partition.parts)
-        lg, _ = line_graph(g)
+        lg = line_graph(g)
         ok, why = validate_decomposition(lg, blown)
         assert ok, why
 

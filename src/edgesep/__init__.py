@@ -10,9 +10,9 @@ containing a K_t minor yield an explicit branch-set certificate instead.
 from . import formats, generators
 from .errors import FormatError, IncidentError, OracleLimitError, ParameterError
 from .exact import SqrtExpr
-from .graphs import (EdgeSet, Graph, VertexSet, bfs_layers, components,
-                     edges_between, induced_edge_ids, line_graph, max_degree,
-                     neighborhood, validate_model)
+from .graphs import (EdgeSet, Graph, LineView, VertexSet, bfs_layers,
+                     components, edges_between, induced_edge_ids, line_graph,
+                     max_degree, neighborhood, validate_model)
 from .oracles import (LemmaCheckReport, OracleLimits, edge_lemma_contract_check,
                       exact_isoperimetric, exact_treewidth, has_kt_minor,
                       min_balanced_edge_separator)

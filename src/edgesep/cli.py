@@ -22,7 +22,7 @@ from .errors import FormatError, IncidentError, OracleLimitError, ParameterError
 from .formats import (emit_decomposition, emit_graph, format_fraction,
                       graph_digest, parse_decomposition, parse_graph,
                       parse_weights)
-from .graphs import Graph, components, line_graph, validate_model
+from .graphs import Graph, LineView, components, validate_model
 from .partition import (KtCertificate, Params, RootedPartition,
                         partition_line_graph, validate_certificate,
                         validate_embedding, validate_partition)
@@ -224,11 +224,10 @@ def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
 
 def _tdlg_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
     blowup = product_blowup(res.partition.decomp, res.partition.parts)
-    lg = line_graph(g)
-    ok, why = validate_decomposition(lg, blowup)
+    ok, why = validate_decomposition(LineView(g), blowup)
     w = width(blowup)
     bound = (args.t - 1) * res.params.p_floor() - 1
-    td_text = emit_decomposition(blowup, lg.n)
+    td_text = emit_decomposition(blowup, g.m)
     if args.td_out:
         with open(args.td_out, "w") as fh:
             fh.write(td_text)
@@ -283,7 +282,7 @@ def _cmd_verify(args) -> int:
     text = _read_text(args.artifact)
     if args.kind == "td":
         d, declared_n = parse_decomposition(text)
-        target = line_graph(g) if args.line else g
+        target = LineView(g) if args.line else g
         ok, why = validate_decomposition(target, d)
         if ok and declared_n != target.n:
             ok, why = False, "vertex coverage: declared vertex count mismatch"

@@ -10,6 +10,7 @@ All operations are pure and deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Optional
 
 # Sorted tuples of ids; plain tuples keep the values hashable and canonical.
@@ -74,6 +75,36 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+class LineView:
+    """The line graph L(G) read off G's incidence lists, never built.
+
+    Line vertex i is the edge of G with id i; two line vertices are adjacent
+    when their edges share an endpoint.  ``bfs_layers``, ``components`` and
+    ``shortest_path`` take a LineView in place of a Graph.  They open each
+    G-vertex at most once and take all of its edges in one step, so they
+    cost O(sum of degrees) over what they read, where L(G) itself has
+    sum_v C(deg v, 2) edges.
+    """
+
+    __slots__ = ("g", "n")
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.n = g.m
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return a != b and not set(self.g.edges[a]).isdisjoint(self.g.edges[b])
+
+    def edge_pairs(self):
+        """The edges of L(G) in ascending order, as ``line_graph`` lists them.
+
+        There are sum_v C(deg v, 2) of them; they are produced one at a time.
+        """
+        adj_eids = self.g.adj_eids
+        for a, (x, y) in enumerate(self.g.edges):
+            yield from ((a, b) for b in sorted(set(adj_eids[x] + adj_eids[y])) if b > a)
+
+
 def max_degree(g: Graph) -> int:
     """Maximum vertex degree; 0 for edgeless graphs."""
     return max((len(a) for a in g.adj), default=0) if g.n else 0
@@ -84,15 +115,18 @@ def _as_set(xs: Iterable[int]):
     return xs if isinstance(xs, (set, frozenset)) else set(xs)
 
 
-def components(g: Graph, within: Optional[Iterable[int]] = None,
+def components(g, within: Optional[Iterable[int]] = None,
                banned_edges: Iterable[int] = ()) -> list[VertexSet]:
     """Connected components of the induced subgraph on ``within``.
 
-    ``banned_edges`` removes individual edges from the view.  Each component
-    is a sorted vertex tuple; the list is ordered by smallest contained id.
-    A caller's set or frozenset is read as is, never copied.
+    ``g`` is a Graph or a LineView.  ``banned_edges`` removes individual
+    edges of a Graph from the view.  Each component is a sorted vertex
+    tuple; the list is ordered by smallest contained id.  A caller's set or
+    frozenset is read as is, never copied.
     """
     inset = range(g.n) if within is None else _as_set(within)
+    if isinstance(g, LineView):
+        return _line_components(g.g, inset)
     banned = set(banned_edges)
     adj, adj_eids = g.adj, g.adj_eids
     seen: set[int] = set()
@@ -138,15 +172,16 @@ def edges_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> EdgeSet:
     return tuple(out)
 
 
-def bfs_layers(g: Graph, sources: Iterable[int],
+def bfs_layers(g, sources: Iterable[int],
                within: Optional[Iterable[int]] = None,
                depth: Optional[int] = None) -> list[VertexSet]:
     """BFS distance layers from ``sources`` inside the induced subgraph.
 
-    Layer j holds the vertices of ``within`` at induced distance exactly j;
-    unreachable vertices are omitted.  Layer 0 is the source set itself.
-    With ``depth`` set, the search stops after layer ``depth``: only the
-    adjacency of the earlier layers is read.
+    ``g`` is a Graph or a LineView.  Layer j holds the vertices of
+    ``within`` at induced distance exactly j; unreachable vertices are
+    omitted.  Layer 0 is the source set itself.  With ``depth`` set, the
+    search stops after layer ``depth``: only the adjacency of the earlier
+    layers is read.
     """
     inset = range(g.n) if within is None else _as_set(within)
     seen = set(sources)
@@ -154,8 +189,10 @@ def bfs_layers(g: Graph, sources: Iterable[int],
         raise ValueError("sources must lie inside the working vertex set")
     if not seen:
         return []
-    adj = g.adj
     layers = [tuple(sorted(seen))]
+    if isinstance(g, LineView):
+        return _line_layers(g.g, layers, seen, inset, depth)
+    adj = g.adj
     while depth is None or len(layers) <= depth:
         nxt = []
         for v in layers[-1]:
@@ -168,6 +205,106 @@ def bfs_layers(g: Graph, sources: Iterable[int],
         nxt.sort()
         layers.append(tuple(nxt))
     return layers
+
+
+def _line_layers(g: Graph, layers: list, seen: set, inset, depth) -> list:
+    """``bfs_layers`` on L(g): each endpoint is opened once.
+
+    An endpoint opened for an earlier layer put all of its edges into that
+    layer or the next, so it can add nothing later and is skipped.
+    """
+    edges, adj_eids = g.edges, g.adj_eids
+    opened: set[int] = set()
+    while depth is None or len(layers) <= depth:
+        nxt = []
+        for e in layers[-1]:
+            for x in edges[e]:
+                if x not in opened:
+                    opened.add(x)
+                    for f in adj_eids[x]:
+                        if f in inset and f not in seen:
+                            seen.add(f)
+                            nxt.append(f)
+        if not nxt:
+            break
+        nxt.sort()
+        layers.append(tuple(nxt))
+    return layers
+
+
+def _line_components(g: Graph, inset) -> list[VertexSet]:
+    """``components`` on L(g), opening each endpoint once."""
+    edges, adj_eids = g.edges, g.adj_eids
+    opened: set[int] = set()
+    seen: set[int] = set()
+    out = []
+    for s in inset:
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for e in comp:
+            for x in edges[e]:
+                if x not in opened:
+                    opened.add(x)
+                    for f in adj_eids[x]:
+                        if f in inset and f not in seen:
+                            seen.add(f)
+                            comp.append(f)
+        comp.sort()
+        out.append(tuple(comp))
+    out.sort()          # disjoint sorted tuples: ordered by least vertex
+    return out
+
+
+def shortest_path(g, sources: Iterable[int], within, stop) -> list:
+    """A shortest path inside ``within`` from ``sources`` to a vertex of ``stop``.
+
+    ``g`` is a Graph or a LineView.  The BFS starts from the sources in
+    ascending order, and each vertex queues its unvisited neighbours in
+    ascending id, so both kinds of the same line graph find the same path.
+    It is returned from its end in ``stop`` back to its source; it is empty
+    when ``stop`` is out of reach.
+    """
+    sources = sorted(sources)
+    parent = dict.fromkeys(sources)
+    dq = deque(sources)
+    line = isinstance(g, LineView)
+    if line:
+        edges, adj_eids = g.g.edges, g.g.adj_eids
+        opened: set[int] = set()
+    else:
+        adj = g.adj
+    while dq:
+        v = dq.popleft()
+        if v in stop:
+            path = [v]
+            while parent[v] is not None:
+                v = parent[v]
+                path.append(v)
+            return path
+        if line:
+            # an endpoint opened before gave all its edges a parent then
+            a, b = edges[v]
+            if a in opened:
+                if b in opened:
+                    continue
+                opened.add(b)
+                nbrs = adj_eids[b]
+            elif b in opened:
+                opened.add(a)
+                nbrs = adj_eids[a]
+            else:
+                opened.add(a)
+                opened.add(b)
+                nbrs = sorted(adj_eids[a] + adj_eids[b])    # merges two ascending runs
+        else:
+            nbrs = adj[v]
+        for u in nbrs:
+            if u in within and u not in parent:
+                parent[u] = v
+                dq.append(u)
+    return []
 
 
 def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
@@ -183,15 +320,12 @@ def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
 
 
 def line_graph(g: Graph) -> Graph:
-    """Line graph of g; line vertex i is the edge of g with id i."""
-    pairs = []
-    for v in range(g.n):
-        eids = g.adj_eids[v]
-        for i in range(len(eids)):
-            for j in range(i + 1, len(eids)):
-                a, b = eids[i], eids[j]
-                pairs.append((a, b) if a < b else (b, a))
-    return Graph(g.m, pairs)
+    """Line graph of g, built in full; line vertex i is the edge of g with id i.
+
+    It has sum_v C(deg v, 2) edges.  The pipeline searches a ``LineView``
+    instead; this materialised copy serves tests and oracles.
+    """
+    return Graph(g.m, LineView(g).edge_pairs())
 
 
 def validate_model(g: Graph, branch_sets) -> tuple[bool, Optional[str]]:

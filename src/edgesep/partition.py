@@ -22,8 +22,7 @@ from typing import NamedTuple, Optional, Union
 from .errors import ParameterError
 from .exact import SqrtExpr
 from .graphs import (Graph, VertexSet, components, edges_between,
-                     induced_edge_ids, line_graph, max_degree, neighborhood,
-                     validate_model)
+                     induced_edge_ids, max_degree, neighborhood, validate_model)
 from .tree_or_sep import edge_tree_or_separator, minimalize_edge_separator
 from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
                          product_blowup, validate_decomposition, width)
@@ -323,7 +322,7 @@ class _Join:
         return None
 
 
-def _enter(g, line, params, out: _Builder, call: _Call, stack):
+def _enter(g, params, out: _Builder, call: _Call, stack):
     """Start one call: its node, a certificate, or None after pushing work."""
     pieces, roots, models, nbrs, parent_measure = call
     h = len(roots)
@@ -363,7 +362,7 @@ def _enter(g, line, params, out: _Builder, call: _Call, stack):
         return out.complete(roots)
 
     # C is connected with |C| > 1, so no vertex of it is isolated in E(C)
-    tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c, line=line,
+    tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c,
                                  inner=piece.inner_edges(g) if h >= 2 else None)
 
     if tos.is_tree():
@@ -407,14 +406,14 @@ def _enter(g, line, params, out: _Builder, call: _Call, stack):
     return None
 
 
-def _run(g, line, params, out: _Builder, call: _Call):
+def _run(g, params, out: _Builder, call: _Call):
     """Drive one instance to its decomposition node, or to a certificate."""
     stack = [call]
     node = None
     while stack:
         item = stack.pop()
         if isinstance(item, _Call):
-            node = _enter(g, line, params, out, item, stack)
+            node = _enter(g, params, out, item, stack)
         else:
             node = item.resume(out, node, stack)
         if isinstance(node, KtCertificate):
@@ -470,10 +469,9 @@ def check_instance(g: Graph, inst: RootedInstance, params: Params) -> None:
 def induction_step(g: Graph, inst: RootedInstance, params: Params) -> EngineOutcome:
     """One certified run of the recursion on an explicit rooted instance."""
     check_instance(g, inst, params)
-    lg = line_graph(g)
     out = _Builder()
     roots = tuple(out.slot(frozenset(e)) for e in inst.roots)
-    node = _run(g, lg, params, out, _Call(
+    node = _run(g, params, out, _Call(
         [_Piece(set(comp)) for comp in components(g, within=inst.c)], roots,
         tuple(frozenset(u) for u in inst.model),
         tuple(frozenset(neighborhood(g, u)) for u in inst.model), None))
@@ -490,7 +488,6 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
     and the vertex itself the first model set.
     """
     params = Params.for_graph(g, t)
-    lg = line_graph(g)
     out = _Builder()
     node = None
     roots: tuple = ()
@@ -499,7 +496,7 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
             continue
         x = comp[0]
         sub_roots = (out.slot(frozenset(g.adj_eids[x])),)
-        sub = _run(g, lg, params, out, _Call(
+        sub = _run(g, params, out, _Call(
             _split(g, _Piece(set(comp[1:])), g.adj[x]), sub_roots,
             (frozenset((x,)),), (frozenset(g.adj[x]),), None))
         if isinstance(sub, KtCertificate):
@@ -563,6 +560,9 @@ def validate_partition(g: Graph, p: RootedPartition, params: Params,
         h_set.add((a, b) if a < b else (b, a))
     for v in range(g.n):
         eids = [e for e in g.adj_eids[v] if e in part_of]
+        if _pairwise_adjacent({part_of[e] for e in eids}, h_set):
+            continue
+        # some pair misses: the edge-pair scan names the first one
         for i in range(len(eids)):
             for j in range(i + 1, len(eids)):
                 pa, pb = part_of[eids[i]], part_of[eids[j]]
@@ -610,6 +610,9 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
     h_set = {(a, b) if a < b else (b, a) for a, b in p.h_edges}
     for v in range(g.n):
         eids = g.adj_eids[v]
+        # (part, slot) is unique by now, so only distinct parts can clash
+        if _pairwise_adjacent({embedding[e][0] for e in eids}, h_set):
+            continue
         for i in range(len(eids)):
             for j in range(i + 1, len(eids)):
                 pa, sa = embedding[eids[i]]
@@ -620,6 +623,17 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
                 elif ((pa, pb) if pa < pb else (pb, pa)) not in h_set:
                     return False, "embedding: adjacent edges in non-adjacent parts"
     return True, None
+
+
+def _pairwise_adjacent(pids, h_set) -> bool:
+    """Every two distinct parts among ``pids`` are adjacent in H.
+
+    Checking the parts at a vertex, not its pairs of edges, costs its degree
+    plus the square of its part count; in a valid partition those parts form
+    a clique of H, so there are at most t - 1 of them.
+    """
+    ps = sorted(pids)
+    return all((a, b) in h_set for i, a in enumerate(ps) for b in ps[i + 1:])
 
 
 def validate_certificate(g: Graph, cert: KtCertificate) -> tuple[bool, Optional[str]]:

@@ -17,7 +17,7 @@ from typing import Optional, Union
 from .errors import IncidentError, ParameterError
 from .graphs import EdgeSet, Graph, VertexSet, components, edges_between
 from .partition import KtCertificate, PartitionResult, partition_line_graph
-from .treedecomp import TreeDecomposition, product_blowup
+from .treedecomp import TreeDecomposition, least_common_node
 
 HALF = Fraction(1, 2)
 
@@ -104,9 +104,10 @@ def _sink_separator(g: Graph, res: PartitionResult, w) -> EdgeSeparatorResult:
     for v, node in enumerate(anchors):
         node_weights[node] = node_weights.get(node, Fraction(0)) + w[v]
 
-    blowup = product_blowup(part.decomp, part.parts)
-    sink = orient_and_find_sink(blowup, node_weights)
-    f = blowup.bags[sink]
+    # the blow-up has the same tree, so its sink is found on H's
+    # decomposition and only the sink's bag is blown up
+    sink = orient_and_find_sink(part.decomp, node_weights)
+    f = sorted(set().union(*(part.parts[pid] for pid in part.decomp.bags[sink])))
 
     comps = []
     for c in components(g, banned_edges=f):
@@ -131,22 +132,20 @@ def _anchor_vertices(g: Graph, part) -> tuple:
     for pid, edge_set in enumerate(part.parts):
         for e in edge_set:
             part_of[e] = pid
-    nodes_of_part: dict[int, set] = {}
+    nodes_of_part: dict[int, list] = {}
     for node, bag in enumerate(part.decomp.bags):
         for pid in bag:
-            nodes_of_part.setdefault(pid, set()).add(node)
+            nodes_of_part.setdefault(pid, []).append(node)
     fallback = part.decomp.designated if part.decomp.designated is not None else 0
     anchors = []
     for v in range(g.n):
-        pids = sorted({part_of[e] for e in g.adj_eids[v]})
+        pids = {part_of[e] for e in g.adj_eids[v]}
         if not pids:
             anchors.append(fallback)
             continue
-        candidates = set(nodes_of_part[pids[0]])
-        for pid in pids[1:]:
-            candidates &= nodes_of_part[pid]
-        assert candidates, f"no bag holds the edge clique of vertex {v}"
-        anchors.append(min(candidates))
+        node = least_common_node(pids, nodes_of_part, part.decomp.bags)
+        assert node is not None, f"no bag holds the edge clique of vertex {v}"
+        anchors.append(node)
     return tuple(anchors)
 
 

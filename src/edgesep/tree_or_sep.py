@@ -3,8 +3,9 @@
 Given target vertex sets A_1..A_h and a radius budget r, the vertex routine
 returns either a tree on at most r vertices meeting every target, or a vertex
 set Z with |Z| <= cSep*(h-1)*n/r such that no component of the working graph
-minus Z meets all targets.  The edge routine lifts this through the line
-graph: it yields a tree with at most r edges, or an edge set F with
+minus Z meets all targets.  The edge routine runs the same search on the line
+graph, read through a ``LineView`` of G's incidence lists rather than built:
+it yields a tree with at most r edges, or an edge set F with
 |F| <= cSep*(h-1)*m/r separating the targets.
 
 The layered-BFS scheme implemented here promises the factor cSep(h) = h for
@@ -21,10 +22,10 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
 from .exact import SqrtExpr, as_exact
-from .graphs import (EdgeSet, Graph, VertexSet, bfs_layers, components,
-                     induced_edge_ids, line_graph)
+from .graphs import (EdgeSet, Graph, LineView, VertexSet, bfs_layers,
+                     components, induced_edge_ids, shortest_path)
 
-def _view(g: Graph, within) -> frozenset:
+def _view(g, within) -> frozenset:
     """The working vertex set; a caller's set is used as is, not copied."""
     if within is None:
         return frozenset(range(g.n))
@@ -58,9 +59,12 @@ class TreeOrSeparator:
         return self.kind == "tree"
 
 
-def vertex_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
+def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
                              within: Optional[Iterable[int]] = None) -> TreeOrSeparator:
-    """Vertex flavor of the lemma on the induced subgraph over ``within``."""
+    """Vertex flavor of the lemma on the induced subgraph over ``within``.
+
+    ``g`` is a Graph or a LineView; the edge flavor passes the latter.
+    """
     work = _view(g, within)
     tsets = [frozenset(t) for t in targets]
     h = len(tsets)
@@ -139,30 +143,15 @@ def _extend_to(g, comp, target, tree_verts, tree_edges):
     the path is short; BFS stops at the first vertex already in the tree,
     which keeps the union acyclic.
     """
-    sources = sorted(target & comp)
-    if set(sources) & tree_verts:
+    sources = target & comp
+    if not sources.isdisjoint(tree_verts):
         verts = tuple(sorted(tree_verts))
         return verts, tuple(tree_edges)
-    parent = {s: None for s in sources}
-    dq = deque(sources)
-    hit = None
-    while dq:
-        v = dq.popleft()
-        if v in tree_verts:
-            hit = v
-            break
-        for u in g.adj[v]:
-            if u in comp and u not in parent:
-                parent[u] = v
-                dq.append(u)
-    assert hit is not None, "extension target unreachable inside its component"
-    v = hit
-    while parent[v] is not None:
-        u = parent[v]
+    path = shortest_path(g, sources, comp, tree_verts)
+    assert path, "extension target unreachable inside its component"
+    for v, u in zip(path, path[1:]):
         tree_edges.append((u, v) if u < v else (v, u))
         tree_verts.add(u)
-        v = u
-    tree_verts.add(hit)
     return tuple(sorted(tree_verts)), tuple(sorted(tree_edges))
 
 
@@ -208,9 +197,8 @@ def _span(edges, start):
 
 def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
                            within: Optional[Iterable[int]] = None,
-                           line: Optional[Graph] = None,
                            inner: Optional[set] = None) -> TreeOrSeparator:
-    """Edge flavor, via the vertex flavor on the line graph.
+    """Edge flavor, via the vertex flavor on a ``LineView`` of g.
 
     Incidence edge sets of the targets play the target role in the line
     graph.  A line tree translates back as a spanning tree of the subgraph
@@ -220,7 +208,7 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     zero-edge tree.
 
     A caller that already holds E(C) for a view without isolated vertices
-    passes it as ``inner``; it is trusted as ``line`` is, and read as is.
+    passes it as ``inner``; it is trusted, and read as is.
     """
     work = _view(g, within)
     tsets = [frozenset(t) for t in targets]
@@ -250,23 +238,23 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     if any(not t for t in tsets):
         return _finish_edge(g, tsets, r_exact, work, "separator", None, None, ())
 
-    lg = line if line is not None else line_graph(g)
     line_targets = [_incidence_edges(g, t, eid_set) for t in tsets]
-    sub = vertex_tree_or_separator(lg, line_targets, r_exact, within=eid_set)
+    sub = vertex_tree_or_separator(LineView(g), line_targets, r_exact, within=eid_set)
 
     if sub.is_tree():
         verts, eids = _spanning_tree_of_edges(g, sub.tree_vertices)
         return _finish_edge(g, tsets, r_exact, work, "tree", verts, eids, None)
 
     f = tuple(sorted(sub.separator))
-    for comp in components(g, within=work, banned_edges=f):
+    comps = components(g, within=work, banned_edges=f)
+    for comp in comps:
         cset = set(comp)
         if all(cset & t for t in tsets):
             # such a component has no surviving incident target edge, hence
             # is a single vertex common to every target
             assert len(comp) == 1, "multi-vertex component survived the line separator"
             return _finish_edge(g, tsets, r_exact, work, "tree", (comp[0],), (), None)
-    return _finish_edge(g, tsets, r_exact, work, "separator", None, None, f)
+    return _finish_edge(g, tsets, r_exact, work, "separator", None, None, f, comps)
 
 
 def _inner_edges(g, work):
@@ -320,19 +308,23 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
     return tuple(sorted(seen)), tuple(sorted(picked))
 
 
-def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep) -> TreeOrSeparator:
+def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep, comps=None) -> TreeOrSeparator:
     res = TreeOrSeparator(
         flavor="edge", kind=kind, h=len(tsets),
         c_sep=guarantee_factor(len(tsets)),
         achieved=Fraction(len(te) if kind == "tree" else len(sep)),
         tree_vertices=tv, tree_edges=te, separator=sep,
     )
-    _verify_edge(g, tsets, r_exact, work, res)
+    _verify_edge(g, tsets, r_exact, work, res, comps)
     return res
 
 
-def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
-    """Exact re-check of the edge contract; AssertionError means a bug."""
+def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator, comps=None) -> None:
+    """Exact re-check of the edge contract; AssertionError means a bug.
+
+    ``comps``, when given, are the components of the working graph minus a
+    separator outcome, already computed by the caller.
+    """
     h = len(tsets)
     if res.kind == "tree":
         verts = set(res.tree_vertices)
@@ -352,7 +344,9 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
         cap = res.c_sep * (h - 1) * len(work_eids)
         if f:
             assert r_exact * len(f) <= cap, "edge separator exceeds its size bound"
-        for comp in components(g, within=work, banned_edges=f):
+        if comps is None:
+            comps = components(g, within=work, banned_edges=f)
+        for comp in comps:
             assert not all(set(comp) & t for t in tsets), \
                 "a component still meets every target"
 

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import Graph, VertexSet
+from .graphs import Graph, LineView, VertexSet
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,19 @@ def singleton(clique: Iterable[int]) -> TreeDecomposition:
     return d.freeze(d.add(clique))
 
 
-def validate_decomposition(g: Graph, d: TreeDecomposition) -> tuple[bool, Optional[str]]:
+def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]]:
     """Check the three decomposition axioms plus structural sanity.
 
-    Returns (ok, first violated clause).  ``g`` is the decomposed graph; an
-    empty decomposition is valid exactly for the graph with no vertices.
+    Returns (ok, first violated clause).  ``g`` is the decomposed graph, a
+    Graph or a LineView; an empty decomposition is valid exactly for the
+    graph with no vertices.
+
+    The edges of a line graph at one G-vertex form a clique, and one bag
+    holding all of that vertex's edges covers them all.  By the Helly
+    property of subtrees (Gavril, JCTB 1974) a valid decomposition has such
+    a bag, so L(G) is covered vertex by vertex.  Only when some vertex lacks
+    one are the edges of L(G) scanned pair by pair, in order, to name the
+    first uncovered one.
     """
     k = d.n_nodes
     for a, b in d.tree_edges:
@@ -113,7 +121,14 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> tuple[bool, Option
     for i, bag in enumerate(d.bags):
         for v in bag:
             nodes_of.setdefault(v, []).append(i)
-    for u, v in g.edges:
+    if not isinstance(g, LineView):
+        pairs = g.edges
+    elif all(len(es) < 2 or least_common_node(es, nodes_of, bag_sets) is not None
+             for es in g.g.adj_eids):
+        pairs = ()
+    else:
+        pairs = g.edge_pairs()
+    for u, v in pairs:
         if not any(v in bag_sets[i] for i in nodes_of.get(u, ())):
             return False, f"edge coverage: edge ({u},{v}) in no bag"
 
@@ -137,6 +152,21 @@ def validate_decomposition(g: Graph, d: TreeDecomposition) -> tuple[bool, Option
         if d.root_clique is not None and not set(d.root_clique) <= bag_sets[d.designated]:
             return False, "designated bag: designated bag misses the root clique"
     return True, None
+
+
+def least_common_node(members, nodes_of, bags) -> Optional[int]:
+    """Least node whose bag holds every one of ``members``, or None.
+
+    ``nodes_of[x]`` lists the nodes whose bags hold x in ascending order.
+    The shortest such list is scanned and each of its nodes tested against
+    ``bags``, so a single member costs one lookup.
+    """
+    shortest = min((nodes_of.get(x, ()) for x in members), key=len)
+    for node in shortest:
+        bag = bags[node]
+        if all(x in bag for x in members):
+            return node
+    return None
 
 
 def glue(d: Decomposition, first: int, second: int, shared: Iterable[int]) -> int:

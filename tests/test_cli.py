@@ -3,11 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from edgesep import Graph, cli
+from edgesep import Graph, cli, graphs
 from edgesep.cli import main
 from edgesep.formats import emit_graph
 from edgesep.generators import (complete, grid, outerplanar, path, random_tree,
@@ -403,3 +406,58 @@ class TestDeterminism:
         b = run_cli(["gen", "random-tree", "25", "--seed", "11"])[1]
         assert a == b
 
+
+
+class TestNoLineGraph:
+    """No command builds L(G); its size grows with the square of the degree."""
+
+    @pytest.mark.parametrize("make", [lambda: grid(8, 8), lambda: random_tree(60, 3)],
+                             ids=["grid-8", "tree-60"])
+    def test_commands_never_call_line_graph(self, make, tmp_path, monkeypatch):
+        def refuse(g):
+            raise AssertionError("line_graph was called")
+
+        original = graphs.line_graph
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "edgesep" and \
+                    getattr(module, "line_graph", None) is original:
+                monkeypatch.setattr(module, "line_graph", refuse)
+        p = tmp_path / "g.gr"
+        p.write_text(emit_graph(make()))
+        for command in ("partition", "separate", "iso"):
+            extra = ["--uniform"] if command == "separate" else []
+            assert run_cli([command, str(p), "--t", "5", *extra])[0] == 0, command
+        code, out = run_cli(["tdlg", str(p), "--t", "5"])
+        assert code == 0
+        td = tmp_path / "lg.td"
+        td.write_text(json.loads(out)["td"])
+        assert run_cli(["verify", "td", str(td), "--line", "--against", str(p)])[0] == 0
+
+    # measured on a 20,000-leaf star: 1.5-1.9 s and 88 MB peak RSS for both
+    # runs together; building L(G) = K_19999 alone would take tens of GB
+    STAR_SECONDS = 60
+    STAR_RSS_MB = 256
+    STAR_SCRIPT = """
+import io, resource, sys
+from contextlib import redirect_stdout
+from edgesep.cli import main
+from edgesep.formats import emit_graph
+from edgesep.generators import star
+from edgesep.partition import partition_line_graph
+g = star(20000)
+assert len(partition_line_graph(g, 5).partition.parts) == 1
+sys.stdin = io.StringIO(emit_graph(g))
+with redirect_stdout(io.StringIO()):
+    code = main(["separate", "--t", "5", "--uniform"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+    def test_a_large_star_runs_in_bounded_time_and_memory(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", self.STAR_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=self.STAR_SECONDS).stdout.split()
+        code, maxrss_kb = int(out[0]), int(out[1])
+        assert code == 0
+        assert maxrss_kb // 1024 <= self.STAR_RSS_MB

@@ -1,14 +1,25 @@
 """Graph core: constructors, primitive operations, and their invariants."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgesep import (Graph, bfs_layers, components, edges_between, line_graph,
-                     max_degree, neighborhood, validate_model)
+from edgesep import (Graph, LineView, bfs_layers, components, edges_between,
+                     line_graph, max_degree, neighborhood, validate_model)
+from edgesep.graphs import shortest_path
 from edgesep.generators import grid, path, star
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
 
 
 @st.composite
@@ -203,3 +214,73 @@ class TestProperties:
         assert line_graph(g) == line_graph(g)
         if g.n:
             assert bfs_layers(g, (0,)) == bfs_layers(g, (0,))
+
+
+@st.composite
+def line_views(draw):
+    """A graph with at least one edge, and a random set of its edge ids."""
+    g = draw(graphs(max_n=9))
+    assume(g.m)
+    within = frozenset(draw(st.lists(st.integers(0, g.m - 1), min_size=1, unique=True)))
+    return g, within
+
+
+class TestLineView:
+    """Searches on a LineView give what they give on the built line graph."""
+
+    @SETTINGS
+    @given(graphs())
+    def test_edges_and_adjacency_match_the_line_graph(self, g):
+        lv, lg = LineView(g), line_graph(g)
+        assert lv.n == lg.n
+        assert tuple(lv.edge_pairs()) == lg.edges
+        for a in range(g.m):
+            for b in range(g.m):
+                assert lv.has_edge(a, b) == lg.has_edge(a, b)
+
+    @SETTINGS
+    @given(line_views(), st.data())
+    def test_bfs_layers_match(self, view, data):
+        g, within = view
+        sources = data.draw(st.lists(st.sampled_from(sorted(within)), min_size=1, unique=True))
+        depth = data.draw(st.none() | st.integers(0, 4))
+        want = bfs_layers(line_graph(g), sources, within=within, depth=depth)
+        assert bfs_layers(LineView(g), sources, within=within, depth=depth) == want
+        if depth is None:
+            assert bfs_layers(LineView(g), sources) == bfs_layers(line_graph(g), sources)
+
+    @SETTINGS
+    @given(line_views())
+    def test_components_match(self, view):
+        g, within = view
+        assert components(LineView(g), within=within) == components(line_graph(g), within=within)
+        assert components(LineView(g)) == components(line_graph(g))
+
+    @SETTINGS
+    @given(line_views(), st.data())
+    def test_shortest_paths_match(self, view, data):
+        g, within = view
+        ids = sorted(within)
+        sources = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        stop = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+        assert shortest_path(LineView(g), sources, within, stop) == \
+            shortest_path(line_graph(g), sources, within, stop)
+
+    def test_shortest_path_queues_both_endpoints_in_ascending_id(self):
+        # in K_4, edge 2 = (0,3) reaches edges 0, 1 through vertex 0 and
+        # 4, 5 through vertex 3; BFS order 0, 1, 4, 5 meets 1 before 5
+        g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        for view in (LineView(g), line_graph(g)):
+            assert shortest_path(view, [2], frozenset(range(g.m)), {1, 5}) == [1, 2]
+
+    def test_a_star_is_searched_without_its_line_graph(self, monkeypatch):
+        # L(star(n)) = K_{n-1} has ~n^2/2 edges; each search opens every
+        # vertex at most once
+        g = star(20000)
+        adj_eids = _CountingTuple(g.adj_eids)
+        monkeypatch.setattr(g, "adj_eids", adj_eids)
+        lv = LineView(g)
+        assert len(bfs_layers(lv, (0,))) == 2
+        assert len(components(lv)) == 1
+        assert len(shortest_path(lv, (0,), frozenset(range(g.m)), {g.m - 1})) == 2
+        assert adj_eids.reads <= 3 * g.n

@@ -1,5 +1,6 @@
 """Partition engine: parameters, the recursion, wrappers, and validators."""
 
+import dataclasses
 import math
 import sys
 
@@ -216,12 +217,12 @@ class TestCarriedInnerEdges:
         original = engine.edge_tree_or_separator
         checked = []
 
-        def checking(g, targets, r, within=None, line=None, inner=None):
+        def checking(g, targets, r, within=None, inner=None):
             if len(targets) >= 2:
                 assert inner is not None
                 assert set(inner) == set(induced_edge_ids(g, within))
                 checked.append(len(inner))
-            return original(g, targets, r, within=within, line=line, inner=inner)
+            return original(g, targets, r, within=within, inner=inner)
 
         monkeypatch.setattr(engine, "edge_tree_or_separator", checking)
         partition_line_graph(make(), t)
@@ -254,3 +255,42 @@ class TestLineGraphDecomposition:
     def test_certificate_propagates(self):
         out = line_graph_tree_decomposition(complete(8), 5)
         assert isinstance(out, KtCertificate)
+
+
+def _first_pair_violation(g, part):
+    """The partition-property clause as a scan over every pair of edges."""
+    part_of = {e: i for i, p in enumerate(part.parts) for e in p}
+    h_set = set(part.h_edges)
+    for v in range(g.n):
+        eids = g.adj_eids[v]
+        for i, a in enumerate(eids):
+            for b in eids[i + 1:]:
+                pa, pb = sorted((part_of[a], part_of[b]))
+                if pa != pb and (pa, pb) not in h_set:
+                    return f"partition property: adjacent edges {a},{b} in non-adjacent parts"
+    return None
+
+
+class TestValidatorsPerPart:
+    """The validators test pairs of parts at a vertex, and name edges on a miss."""
+
+    @pytest.mark.parametrize("make", [lambda: grid(5, 5), lambda: outerplanar(40, 2)],
+                             ids=["grid-5", "outerplanar-40"])
+    def test_a_dropped_h_edge_names_the_first_pair(self, make):
+        g = make()
+        res = partition_line_graph(g, 5)
+        part = res.partition
+        for k in range(len(part.h_edges)):
+            bad = dataclasses.replace(part, h_edges=part.h_edges[:k] + part.h_edges[k + 1:])
+            want = _first_pair_violation(g, bad)
+            if want is None:
+                continue        # no two adjacent edges sit in that pair of parts
+            assert validate_partition(g, bad, res.params) == (False, want)
+            assert validate_embedding(g, bad, res.embedding, res.params) == \
+                (False, "embedding: adjacent edges in non-adjacent parts")
+
+    def test_a_large_star_validates(self):
+        g = star(20000)
+        res = partition_line_graph(g, 5)
+        assert validate_partition(g, res.partition, res.params) == (True, None)
+        assert validate_embedding(g, res.partition, res.embedding, res.params) == (True, None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgesep import (Graph, components, edge_tree_or_separator,
+from edgesep import (Graph, LineView, components, edge_tree_or_separator,
                      induced_edge_ids, line_graph, minimalize_edge_separator,
                      vertex_tree_or_separator)
 from edgesep import tree_or_sep
@@ -102,14 +102,14 @@ class _CountingTuple(tuple):
 @pytest.fixture(scope="module")
 def long_path():
     g = path(200000)
-    return g, line_graph(g), frozenset(range(g.n))
+    return g, frozenset(range(g.n))
 
 
 class TestLocality:
     """A tree found near the targets costs what it searched, not |C|."""
 
     def test_vertex_tree_reads_only_the_searched_ball(self, long_path, monkeypatch):
-        g, _, work = long_path
+        g, work = long_path
         adj = _CountingTuple(g.adj)
         monkeypatch.setattr(g, "adj", adj)
         res = vertex_tree_or_separator(g, [(0,), (1,)], 3, within=work)
@@ -117,12 +117,15 @@ class TestLocality:
         assert adj.reads <= 16
 
     def test_edge_tree_reads_only_the_searched_line_ball(self, long_path, monkeypatch):
-        g, lg, work = long_path
-        adj = _CountingTuple(lg.adj)
-        monkeypatch.setattr(lg, "adj", adj)
-        res = edge_tree_or_separator(g, [(0,), (2,)], 3, within=work, line=lg)
+        # the line search reads G's incidence lists; E(C) is handed in, as
+        # the partition recursion does, so nothing scans all of C
+        g, work = long_path
+        adj_eids = _CountingTuple(g.adj_eids)
+        monkeypatch.setattr(g, "adj_eids", adj_eids)
+        res = edge_tree_or_separator(g, [(0,), (2,)], 3, within=work,
+                                     inner=frozenset(range(g.m)))
         assert res.is_tree() and res.tree_edges == (0, 1)
-        assert adj.reads <= 16
+        assert adj_eids.reads <= 16
 
 
 def _scheme_components(monkeypatch):
@@ -277,3 +280,30 @@ class TestCarriedInnerEdges:
         inner = set(induced_edge_ids(g, view))
         assert edge_tree_or_separator(g, targets, r, within=view, inner=inner) == \
             edge_tree_or_separator(g, targets, r, within=view)
+
+
+class TestLineViewSearch:
+    """The search on a LineView returns what it returns on the built L(G)."""
+
+    @SETTINGS
+    @given(connected_views(), st.data())
+    def test_vertex_flavor_on_the_view_matches_the_line_graph(self, inst, data):
+        g, targets, r, view = inst
+        e_c = frozenset(induced_edge_ids(g, view))
+        ids = sorted(e_c)
+        line_targets = [data.draw(st.lists(st.sampled_from(ids), unique=True, max_size=4))
+                        for _ in targets]
+        got = vertex_tree_or_separator(LineView(g), line_targets, r, within=e_c)
+        want = vertex_tree_or_separator(line_graph(g), line_targets, r, within=e_c)
+        assert got == want
+
+    @SETTINGS
+    @given(connected_views())
+    def test_edge_flavor_matches_a_search_on_the_line_graph(self, inst):
+        g, targets, r, view = inst
+        got = edge_tree_or_separator(g, targets, r, within=view)
+        with pytest.MonkeyPatch.context() as mp:
+            # the edge flavor as it ran before the view: on L(G), built
+            mp.setattr(tree_or_sep, "LineView", line_graph)
+            want = edge_tree_or_separator(g, targets, r, within=view)
+        assert got == want

@@ -1,13 +1,13 @@
 """Tree-decomposition values and the constructive operations on them."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from edgesep import (Graph, attach_vertex, glue, line_graph,
+from edgesep import (Graph, LineView, attach_vertex, glue, line_graph,
                      partition_line_graph, product_blowup, singleton,
                      validate_decomposition, width)
-from edgesep.generators import grid
+from edgesep.generators import grid, random_tree
 from edgesep.treedecomp import Decomposition, TreeDecomposition
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -204,3 +204,44 @@ class TestPreservation:
             edges[i] = (a, a)
             mutated = TreeDecomposition(d.bags, tuple(edges))
         assert not validate_decomposition(g, mutated)[0]
+
+
+@st.composite
+def line_decompositions(draw):
+    """A graph and a blown-up decomposition of its line graph, maybe corrupted.
+
+    The valid blow-up comes from the pipeline.  A corruption drops one
+    element of one bag, which can uncover a line edge or split the element's
+    subtree, or adds one element to one bag, which can split its subtree.
+    """
+    n = draw(st.integers(3, 9))
+    tree = random_tree(n, draw(st.integers(0, 99)))
+    extra = draw(st.lists(st.sampled_from([(i, j) for i in range(n) for j in range(i + 1, n)]),
+                          unique=True, max_size=4))
+    g = Graph(n, set(tree.edges) | set(extra))
+    res = partition_line_graph(g, 5)
+    assume(not hasattr(res, "branch_sets"))
+    d = product_blowup(res.partition.decomp, res.partition.parts)
+    bags = [list(b) for b in d.bags]
+    kind = draw(st.sampled_from(["valid", "drop", "add"]))
+    node = draw(st.integers(0, len(bags) - 1))
+    if kind == "drop" and bags[node]:
+        bags[node].remove(draw(st.sampled_from(bags[node])))
+    elif kind == "add":
+        bags[node] = sorted(set(bags[node]) | {draw(st.integers(0, g.m - 1))})
+    return g, TreeDecomposition(bags=tuple(tuple(b) for b in bags), tree_edges=d.tree_edges)
+
+
+class TestLineGraphValidation:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(line_decompositions())
+    def test_view_verdict_matches_the_line_graph(self, inst):
+        g, d = inst
+        assert validate_decomposition(LineView(g), d) == validate_decomposition(line_graph(g), d)
+
+    def test_first_uncovered_line_edge_is_named(self):
+        # L(P_4) is the path 0 - 1 - 2; bags {0,1} and {2} miss the edge (1,2)
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        d = TreeDecomposition(bags=((0, 1), (2,)), tree_edges=((0, 1),))
+        assert validate_decomposition(LineView(g), d) == \
+            (False, "edge coverage: edge (1,2) in no bag")

@@ -9,7 +9,6 @@ containing a K_t minor yield an explicit branch-set certificate instead.
 
 from . import formats, generators
 from .errors import FormatError, IncidentError, OracleLimitError, ParameterError
-from .exact import SqrtExpr
 from .graphs import (EdgeSet, Graph, LineView, VertexSet, bfs_layers,
                      components, edges_between, induced_edge_ids, line_graph,
                      max_degree, neighborhood, validate_model)

@@ -14,9 +14,8 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import OracleLimitError, ParameterError
-from .exact import as_exact
 from .graphs import Graph, components, induced_edge_ids
-from .tree_or_sep import edge_tree_or_separator
+from .tree_or_sep import Budget, edge_tree_or_separator
 
 HALF = Fraction(1, 2)
 
@@ -229,14 +228,14 @@ def edge_lemma_contract_check(g: Graph, targets: Sequence[Iterable[int]], r,
     work = sorted(within) if within is not None else list(range(g.n))
     _guard(len(work), limits.max_vertices_minor, "edge_lemma_contract_check")
     tsets = [frozenset(t) for t in targets]
-    r_exact = as_exact(r)
+    r_exact = Budget.of(r)
 
     max_verts = r_exact.floor() + 1
     tree_exists = _small_tree_exists(g, tsets, max_verts, set(work))
 
     tos = edge_tree_or_separator(g, targets, r, within=work)
     if tos.is_tree():
-        ok = (len(tos.tree_edges) == 0 or as_exact(len(tos.tree_edges)) <= r_exact) \
+        ok = (len(tos.tree_edges) == 0 or len(tos.tree_edges) <= r_exact) \
             and all(set(tos.tree_vertices) & t for t in tsets)
         size = len(tos.tree_edges)
     else:

@@ -9,6 +9,8 @@ found an explicit K_t-model and returns it as a certificate instead.
 
 The recursion state is kept as host-id sets throughout; nothing is ever
 re-indexed, so parts, models and certificates all refer to the input graph.
+Its arithmetic is integer arithmetic: part sizes are tested against p_impl
+by squaring, and each call's radius budget is a ``tree_or_sep.Budget``.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .errors import ParameterError
-from .exact import SqrtExpr
 from .graphs import (Graph, VertexSet, components, edges_between,
                      induced_edge_ids, max_degree, neighborhood, validate_model)
-from .tree_or_sep import edge_tree_or_separator, minimalize_edge_separator
+from .tree_or_sep import Budget, edge_tree_or_separator, minimalize_edge_separator
 from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
                          product_blowup, validate_decomposition, width)
 
@@ -69,11 +69,11 @@ class Params:
             return True
         return (size - self.delta) ** 2 <= self.p_inner
 
-    def r_of(self, h: int) -> SqrtExpr:
+    def r_of(self, h: int) -> Budget:
         """Radius budget sqrt(c_sep*(h-1)*m/delta) used by the recursion."""
         if self.delta == 0:
             raise ParameterError("radius budget undefined for an edgeless graph")
-        return SqrtExpr.sqrt(Fraction(self.c_sep * (h - 1) * self.m, self.delta))
+        return Budget(self.c_sep * (h - 1) * self.m, self.delta)
 
 
 @dataclass(frozen=True)
@@ -231,18 +231,24 @@ def _split(g: Graph, piece: _Piece, around) -> list:
     owner = dict(zip(seeds, range(len(seeds))))
     alias = list(range(len(seeds)))
     members = [[s] for s in seeds]
-    queues = [deque((s,)) for s in seeds]
+    # a search starts at its seed and makes its deque on its first new vertex
+    queues: list = [None] * len(seeds)
+    started = bytearray(len(seeds))
     live = dict.fromkeys(range(len(seeds)))     # running searches, in order
     closed = []
     while len(live) > 1:
         for i in list(live):
             if i not in live or len(live) == 1:
                 continue
-            if not queues[i]:
+            if not started[i]:
+                started[i] = 1
+                v = seeds[i]
+            elif queues[i]:
+                v = queues[i].popleft()
+            else:
                 del live[i]
                 closed.append(members[i])
                 continue
-            v = queues[i].popleft()
             for u in g.adj[v]:
                 if u not in c:
                     continue
@@ -250,6 +256,8 @@ def _split(g: Graph, piece: _Piece, around) -> list:
                 if j is None:
                     owner[u] = i
                     members[i].append(u)
+                    if queues[i] is None:
+                        queues[i] = deque()
                     queues[i].append(u)
                     continue
                 while alias[j] != j:
@@ -259,7 +267,11 @@ def _split(g: Graph, piece: _Piece, around) -> list:
                         i, j = j, i
                     alias[j] = i
                     members[i] += members[j]
-                    queues[i] += queues[j]
+                    rest = queues[j] if started[j] else (seeds[j],)
+                    if rest:
+                        if queues[i] is None:
+                            queues[i] = deque()
+                        queues[i] += rest
                     members[j] = queues[j] = None
                     del live[j]
     pieces = [piece]
@@ -381,10 +393,11 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
                            nbrs + (nb_tv,), measure))
         return None
 
-    f = frozenset(minimalize_edge_separator(g, tos.separator, targets, within=c))
+    comps: list = []                # the components of C - F
+    f = frozenset(minimalize_edge_separator(g, tos.separator, targets, within=c,
+                                            classes=comps))
     assert f, "connected C with nonempty targets forces a nonempty separator"
     assert params.allows_part_size(len(f)), "separator part exceeds the size budget"
-    comps = [set(comp) for comp in components(g, within=c, banned_edges=f)]
     assert len(comps) >= 2, "an inclusion-minimal separator splits C"
     # a piece missing A_k takes F in place of root k and grows U_k by every
     # piece that meets A_k; root k's part is attached back after its call

@@ -3,8 +3,9 @@
 One bag of the line graph's tree-decomposition, chosen by orienting the
 decomposition tree toward heavy weight and walking to a sink, is a balanced
 edge separator: every component of G minus that bag carries weight at most
-one half.  All weight arithmetic is exact rational; the 1/2 threshold is
-never compared through floats.
+one half.  All weight arithmetic is exact: weights are scaled to integer
+loads over their least common denominator, so the 1/2 threshold is an
+integer comparison, never one through floats.
 """
 
 from __future__ import annotations
@@ -19,20 +20,19 @@ from .graphs import EdgeSet, Graph, VertexSet, components, edges_between
 from .partition import KtCertificate, PartitionResult, partition_line_graph
 from .treedecomp import TreeDecomposition, least_common_node
 
-HALF = Fraction(1, 2)
-
 
 def uniform_weights(n: int) -> tuple:
     if n < 2:
         raise ParameterError("uniform weights need at least 2 vertices")
-    return tuple(Fraction(1, n) for _ in range(n))
+    return (Fraction(1, n),) * n
 
 
-def check_weights(g: Graph, w) -> None:
+def check_weights(g: Graph, w) -> int:
     """Raise unless ``w`` is exact, inside [0, 1/2] and sums to exactly 1.
 
     Numerators are summed per denominator and compared over the least common
-    denominator, so the check is integer work with no gcd per weight.
+    denominator, so the check is integer work with no gcd per weight.  That
+    denominator is returned: over it every weight is an integer load.
     """
     if len(w) != g.n:
         raise ParameterError("weight function must cover every vertex")
@@ -47,6 +47,7 @@ def check_weights(g: Graph, w) -> None:
     lcd = math.lcm(*sums)
     if sum(num * (lcd // den) for den, num in sums.items()) != lcd:
         raise ParameterError("weights must sum to exactly 1")
+    return lcd
 
 
 @dataclass(frozen=True)
@@ -69,55 +70,60 @@ class IsoperimetricWitness:
 def balanced_edge_separator(g: Graph, w, t: int
                             ) -> Union[EdgeSeparatorResult, KtCertificate]:
     """Edge set F with every component of G - F of weight at most 1/2."""
-    check_weights(g, w)
+    lcd = check_weights(g, w)
     res = partition_line_graph(g, t)
     if isinstance(res, KtCertificate):
         return res
-    return _sink_separator(g, res, w)
+    return _sink_separator(g, res, w, lcd)
 
 
 def separator_from_partition(g: Graph, res: PartitionResult, w
                              ) -> EdgeSeparatorResult:
     """Extract the separator from an already-computed partition result."""
-    check_weights(g, w)
-    return _sink_separator(g, res, w)
+    return _sink_separator(g, res, w, check_weights(g, w))
 
 
-def _sink_separator(g: Graph, res: PartitionResult, w) -> EdgeSeparatorResult:
-    """``separator_from_partition`` for weights already checked."""
+def _sink_separator(g: Graph, res: PartitionResult, w, lcd: int) -> EdgeSeparatorResult:
+    """``separator_from_partition`` for weights checked to sum to 1 over ``lcd``.
+
+    Weights are summed as integer loads over ``lcd``; one reduced Fraction
+    is formed per reported component.
+    """
     params = res.params
     part = res.partition
     bound_used = (params.t - 1) * params.p_floor()
     reference_bound = (params.t - 1) * params.reference_p_floor()
+    loads = [x.numerator * (lcd // x.denominator) for x in w]
 
     if part.decomp.n_nodes == 0:
-        comps = tuple((c, sum((w[v] for v in c), Fraction(0)))
-                      for c in components(g))
-        for c, weight in comps:
-            assert weight <= HALF
-        return EdgeSeparatorResult(edges=(), components=comps,
+        return EdgeSeparatorResult(edges=(), components=_weighed(components(g), loads, lcd),
                                    bound_used=bound_used, reference_bound=reference_bound,
                                    sink_node=None, anchors=(None,) * g.n)
 
     anchors = _anchor_vertices(g, part)
-    node_weights: dict[int, Fraction] = {}
+    node_loads = [0] * part.decomp.n_nodes
     for v, node in enumerate(anchors):
-        node_weights[node] = node_weights.get(node, Fraction(0)) + w[v]
+        node_loads[node] += loads[v]
 
     # the blow-up has the same tree, so its sink is found on H's
     # decomposition and only the sink's bag is blown up
-    sink = orient_and_find_sink(part.decomp, node_weights)
+    sink = _find_sink(part.decomp, node_loads, lcd)
     f = sorted(set().union(*(part.parts[pid] for pid in part.decomp.bags[sink])))
-
-    comps = []
-    for c in components(g, banned_edges=f):
-        weight = sum((w[v] for v in c), Fraction(0))
-        assert weight <= HALF, "a component of G - F exceeds weight 1/2"
-        comps.append((c, weight))
+    comps = _weighed(components(g, banned_edges=f), loads, lcd)
     assert len(f) <= bound_used, "separator exceeds the size bound"
-    return EdgeSeparatorResult(edges=tuple(f), components=tuple(comps),
+    return EdgeSeparatorResult(edges=tuple(f), components=comps,
                                bound_used=bound_used, reference_bound=reference_bound,
                                sink_node=sink, anchors=anchors)
+
+
+def _weighed(comps, loads, lcd) -> tuple:
+    """(component, weight) pairs, each weight checked to be at most 1/2."""
+    out = []
+    for c in comps:
+        load = sum(loads[v] for v in c)
+        assert 2 * load <= lcd, "a component of G - F exceeds weight 1/2"
+        out.append((c, Fraction(load, lcd)))
+    return tuple(out)
 
 
 def _anchor_vertices(g: Graph, part) -> tuple:
@@ -154,15 +160,21 @@ def orient_and_find_sink(d: TreeDecomposition, node_weights) -> int:
 
     A tree edge points toward the side of weight > 1/2; edges balanced at
     exactly 1/2 stay unoriented.  Such a sink always exists; the smallest id
-    is returned.
+    is returned.  ``node_weights`` maps nodes to exact rational weights.
     """
-    k = d.n_nodes
-    if k == 0:
+    if d.n_nodes == 0:
         raise ParameterError("empty decomposition has no sink")
-    total = sum(node_weights.values(), Fraction(0))
-    if total != 1:
+    weights = {i: Fraction(x) for i, x in node_weights.items()}
+    lcd = math.lcm(*(x.denominator for x in weights.values()))
+    loads = {i: x.numerator * (lcd // x.denominator) for i, x in weights.items()}
+    if sum(loads.values()) != lcd:
         raise ParameterError("node weights must sum to exactly 1")
-    wts = [node_weights.get(i, Fraction(0)) for i in range(k)]
+    return _find_sink(d, [loads.get(i, 0) for i in range(d.n_nodes)], lcd)
+
+
+def _find_sink(d: TreeDecomposition, loads: list, total: int) -> int:
+    """``orient_and_find_sink`` on integer node loads summing to ``total``."""
+    k = d.n_nodes
     nbrs = [[] for _ in range(k)]
     for a, b in d.tree_edges:
         nbrs[a].append(b)
@@ -179,18 +191,16 @@ def orient_and_find_sink(d: TreeDecomposition, node_weights) -> int:
                 order.append(u)
     if len(order) != k:
         raise ParameterError("decomposition tree is disconnected")
-    sub = list(wts)
+    sub = list(loads)
     for v in reversed(order[1:]):
         sub[parent[v]] += sub[v]
 
     for v in range(k):
-        ok = True
         for u in nbrs[v]:
-            far = sub[u] if parent[u] == v else 1 - sub[v]
-            if far > HALF:
-                ok = False
+            far = sub[u] if parent[u] == v else total - sub[v]
+            if 2 * far > total:
                 break
-        if ok:
+        else:
             return v
     raise AssertionError("orientation of a finite tree always has a sink")
 

@@ -10,20 +10,84 @@ it yields a tree with at most r edges, or an edge set F with
 
 The layered-BFS scheme implemented here promises the factor cSep(h) = h for
 h >= 2 (1 for h = 1); the factor is recorded on every result and the full
-contract is re-verified exactly before anything is returned.
+contract is re-verified exactly before anything is returned.  The radius
+budget is a ``Budget``, sqrt(num/den) - s in integers, so every bound is
+decided by integer squaring and ``math.isqrt``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
-from .exact import SqrtExpr, as_exact
 from .graphs import (EdgeSet, Graph, LineView, VertexSet, bfs_layers,
                      components, induced_edge_ids, shortest_path)
+
+class Budget:
+    """The exact radius budget sqrt(num/den) - s, for integers num >= 0, den > 0, s.
+
+    Each budget the recursion forms is the paper's radius less the integers
+    that nested calls spend, so rounding it and comparing it with an integer
+    reduce to integer squaring and ``math.isqrt``: no bound is checked
+    through floats.
+    """
+
+    __slots__ = ("num", "den", "s")
+
+    def __init__(self, num: int, den: int = 1, s: int = 0):
+        if num < 0 or den <= 0:
+            raise ValueError("a budget needs num >= 0 and den > 0")
+        self.num, self.den, self.s = num, den, s
+
+    @classmethod
+    def of(cls, r) -> "Budget":
+        """A Budget as is; an int, Fraction or float as its exact value."""
+        if isinstance(r, Budget):
+            return r
+        a, b = r.as_integer_ratio()
+        f = a // b                      # r = f + (a - f*b)/b, a rest in [0, 1)
+        return cls((a - f * b) ** 2, b * b, -f)
+
+    def floor(self) -> int:
+        return math.isqrt(self.num // self.den) - self.s
+
+    def ceil(self) -> int:
+        f = math.isqrt(self.num // self.den)
+        return f - self.s + (self.num != self.den * f * f)
+
+    def __sub__(self, k: int) -> "Budget":
+        return Budget(self.num, self.den, self.s + k)
+
+    def __mul__(self, n: int) -> "Budget":
+        """n times the budget, for an integer n >= 0."""
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        return Budget(n * n * self.num, self.den, n * self.s)
+
+    def __ge__(self, x: int) -> bool:
+        if not isinstance(x, int):
+            return NotImplemented
+        y = x + self.s                  # sqrt(num/den) >= y
+        return y <= 0 or self.den * y * y <= self.num
+
+    def __le__(self, x: int) -> bool:
+        if not isinstance(x, int):
+            return NotImplemented
+        y = x + self.s                  # sqrt(num/den) <= y
+        return y >= 0 and self.num <= self.den * y * y
+
+    def __lt__(self, x: int) -> bool:
+        return NotImplemented if not isinstance(x, int) else not self >= x
+
+    def __float__(self) -> float:
+        return math.sqrt(self.num / self.den) - self.s
+
+    def __repr__(self) -> str:
+        return f"Budget(sqrt({self.num}/{self.den}) - {self.s})"
+
 
 def _view(g, within) -> frozenset:
     """The working vertex set; a caller's set is used as is, not copied."""
@@ -50,7 +114,7 @@ class TreeOrSeparator:
     kind: str                        # "tree" | "separator"
     h: int
     c_sep: int                       # promised guarantee factor for this call
-    achieved: Fraction               # measured size of the returned object
+    achieved: int                    # measured size of the returned object
     tree_vertices: Optional[VertexSet] = None
     tree_edges: Optional[tuple] = None
     separator: Optional[tuple] = None
@@ -73,14 +137,14 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
     for i, t in enumerate(tsets):
         if not t <= work:
             raise ParameterError(f"target {i} leaves the working vertex set")
-    r_exact = as_exact(r)
+    r_exact = Budget.of(r)
     if h > 1 and r_exact < 1:
         raise ParameterError("radius budget r must be >= 1")
     kind, tv, te, sep = _vertex_scheme(g, tsets, r_exact, work)
     result = TreeOrSeparator(
         flavor="vertex", kind=kind, h=h,
         c_sep=guarantee_factor(h),
-        achieved=Fraction(len(tv) if kind == "tree" else len(sep)),
+        achieved=len(tv) if kind == "tree" else len(sep),
         tree_vertices=tv, tree_edges=te, separator=sep,
     )
     _verify_vertex(g, tsets, r_exact, work, result)
@@ -104,7 +168,7 @@ def _vertex_scheme(g, tsets, r_exact, work):
     if h == 2:
         k = r_exact.floor()
     else:
-        k = (r_exact / (h - 1)).ceil()
+        k = -(-r_exact.ceil() // (h - 1))   # ceil(r/(h-1)) = ceil(ceil(r)/(h-1))
     k = max(k, 1)
     sub_budget = r_exact - (k - 1)
 
@@ -166,7 +230,7 @@ def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
         assert seen == verts, "tree is not connected"
         for u, v in res.tree_edges:
             assert g.has_edge(u, v), "tree uses a non-edge"
-        assert SqrtExpr(len(verts)) <= r_exact, "tree exceeds the radius budget"
+        assert len(verts) <= r_exact, "tree exceeds the radius budget"
         for i, t in enumerate(tsets):
             assert verts & t, f"tree misses target {i}"
     else:
@@ -223,11 +287,11 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
         # tiny budgets make the reduction illegal; a single target vertex is
         # already a zero-edge tree
         if not tsets[0]:
-            return _finish_edge(g, tsets, as_exact(r), work, "separator", None, None, ())
+            return _finish_edge(g, tsets, Budget.of(r), work, "separator", None, None, ())
         v = min(tsets[0])
-        return _finish_edge(g, tsets, as_exact(r), work, "tree", (v,), (), None)
+        return _finish_edge(g, tsets, Budget.of(r), work, "tree", (v,), (), None)
 
-    r_exact = as_exact(r)
+    r_exact = Budget.of(r)
     if r_exact < 1:
         raise ParameterError("radius budget r must be >= 1")
     eid_set = inner
@@ -312,7 +376,7 @@ def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep, comps=None) -> Tree
     res = TreeOrSeparator(
         flavor="edge", kind=kind, h=len(tsets),
         c_sep=guarantee_factor(len(tsets)),
-        achieved=Fraction(len(te) if kind == "tree" else len(sep)),
+        achieved=len(te) if kind == "tree" else len(sep),
         tree_vertices=tv, tree_edges=te, separator=sep,
     )
     _verify_edge(g, tsets, r_exact, work, res, comps)
@@ -334,7 +398,7 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator, comps=None) -> N
             pairs = [g.endpoints(e) for e in res.tree_edges]
             seen = _span(pairs, min(verts))
             assert seen == verts, "edge tree is not connected"
-            assert SqrtExpr(len(res.tree_edges)) <= r_exact, "edge tree exceeds the budget"
+            assert len(res.tree_edges) <= r_exact, "edge tree exceeds the budget"
         for i, t in enumerate(tsets):
             assert verts & t, f"edge tree misses target {i}"
     else:
@@ -353,12 +417,18 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator, comps=None) -> N
 
 def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
                               targets: Sequence[Iterable[int]],
-                              within: Optional[Iterable[int]] = None) -> EdgeSet:
+                              within: Optional[Iterable[int]] = None,
+                              classes: Optional[list] = None) -> EdgeSet:
     """Shrink a separating edge set to an inclusion-minimal one.
 
     Edges are considered in ascending id order; an edge is dropped when the
     two fragments it joins would still miss at least one target after the
     merge.  The result separates and no proper subset of it does.
+
+    The merged fragments are then exactly the components of the view minus
+    the result.  A caller that needs them passes a list as ``classes``; each
+    is appended as a set filled in ascending order, ordered by least vertex,
+    as ``components`` orders them.
     """
     work_set = _view(g, within)
     tsets = [frozenset(t) for t in targets]
@@ -397,6 +467,11 @@ def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
         else:
             parent[ru] = rv
             hits[rv] = merged
+    if classes is not None:
+        merged_comps: dict = {}
+        for comp in comps:              # by least vertex, so each class is too
+            merged_comps.setdefault(find(comp[0]), []).extend(comp)
+        classes.extend(set(sorted(verts)) for verts in merged_comps.values())
     return tuple(kept)
 
 

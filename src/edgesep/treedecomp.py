@@ -8,7 +8,6 @@ attaches at nodes it holds, so each step appends a node instead of copying.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -93,18 +92,18 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
     for a, b in d.tree_edges:
         nbrs[a].append(b)
         nbrs[b].append(a)
+    parent: list = [None] * k           # in the tree rooted at node 0; the root's is -1
     if k > 0:
         if len(d.tree_edges) != k - 1:
             return False, "tree structure: edge count is not nodes-1"
-        seen = {0}
-        dq = deque((0,))
-        while dq:
-            v = dq.popleft()
+        parent[0] = -1
+        order = [0]
+        for v in order:                 # order grows as it is read: the BFS queue
             for u in nbrs[v]:
-                if u not in seen:
-                    seen.add(u)
-                    dq.append(u)
-        if len(seen) != k:
+                if parent[u] is None:
+                    parent[u] = v
+                    order.append(u)
+        if len(order) != k:
             return False, "tree structure: tree is disconnected"
 
     covered: set[int] = set()
@@ -132,19 +131,17 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
         if not any(v in bag_sets[i] for i in nodes_of.get(u, ())):
             return False, f"edge coverage: edge ({u},{v}) in no bag"
 
+    # the nodes holding v are connected exactly when one of them is a top:
+    # the root, or a node whose parent's bag lacks v.  A bag that repeats v
+    # lists its node twice in a row, so a repeat of the last top is skipped.
     for v, nodes in nodes_of.items():
-        node_set = set(nodes)
-        start = nodes[0]
-        seen = {start}
-        dq = deque((start,))
-        while dq:
-            x = dq.popleft()
-            for y in nbrs[x]:
-                if y in node_set and y not in seen:
-                    seen.add(y)
-                    dq.append(y)
-        if seen != node_set:
-            return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
+        top = -1
+        for i in nodes:
+            p = parent[i]
+            if (p < 0 or v not in bag_sets[p]) and i != top:
+                if top >= 0:
+                    return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
+                top = i
 
     if d.designated is not None:
         if not (0 <= d.designated < k):

@@ -3,8 +3,11 @@
 import dataclasses
 import math
 import sys
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesep import (Graph, KtCertificate, Params, RootedInstance, components,
                      exact_treewidth, has_kt_minor, induced_edge_ids,
@@ -45,7 +48,7 @@ class TestParams:
 
     def test_radius_budget_is_exact(self):
         p = Params(t=4, delta=4, m=16, c_sep=1)
-        assert p.r_of(2) == 2                      # sqrt(16/4) collapses
+        assert p.r_of(2).floor() == p.r_of(2).ceil() == 2      # sqrt(16/4) is 2
         q = Params(t=5, delta=4, m=12, c_sep=3)
         assert (q.r_of(3) * q.r_of(3).floor()).floor() == 16   # r = sqrt(18)
 
@@ -201,6 +204,46 @@ class TestRecursion:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(limit)
+
+
+@st.composite
+def split_instances(draw):
+    """A graph, a vertex set C, and seeds meeting every component of C."""
+    n = draw(st.integers(2, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)))
+    c = set(draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1)))
+    around = {draw(st.sampled_from(comp)) for comp in components(g, within=c)}
+    around |= set(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    return g, c, around
+
+
+class TestSplit:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(split_instances(), st.booleans())
+    def test_pieces_are_the_components_by_least_vertex(self, inst, carried):
+        g, c, around = inst
+        edges = set(induced_edge_ids(g, c)) if carried else None
+        pieces = engine._split(g, engine._Piece(set(c), edges), around)
+        comps = components(g, within=c)
+        assert [sorted(p.verts) for p in pieces] == [list(comp) for comp in comps]
+        for p in pieces:
+            assert p.edges == (set(induced_edge_ids(g, p.verts)) if carried else None)
+
+    def test_seeds_that_find_nothing_make_no_deque(self, monkeypatch):
+        made = []
+
+        class CountingDeque(deque):
+            def __init__(self, *args):
+                made.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine, "deque", CountingDeque)
+        g = star(20000)
+        pieces = engine._split(g, engine._Piece(set(range(1, g.n))), g.adj[0])
+        assert len(pieces) == g.n - 1 and not made
+        engine._split(g, engine._Piece(set(range(g.n))), (1, 2))
+        assert made            # a search that finds a vertex still makes one
 
 
 class TestCarriedInnerEdges:

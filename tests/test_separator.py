@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from edgesep import (Graph, KtCertificate, balanced_edge_separator, components,
                      edges_between, exact_isoperimetric, isoperimetric_witness,
@@ -12,7 +14,7 @@ from edgesep import (Graph, KtCertificate, balanced_edge_separator, components,
                      separator_from_partition, uniform_weights)
 from edgesep import separator as separator_module
 from edgesep.errors import ParameterError
-from edgesep.generators import complete, cycle, grid, star
+from edgesep.generators import complete, cycle, grid, outerplanar, random_tree, star
 from edgesep.treedecomp import TreeDecomposition
 
 HALF = Fraction(1, 2)
@@ -216,6 +218,85 @@ class TestOrientAndFindSink:
                             seen.add(w)
                             stack.append(w)
                 assert far <= HALF
+
+
+def fraction_sink(d, node_weights):
+    """The sink search on Fraction weights, as it ran before integer loads."""
+    k = d.n_nodes
+    wts = [node_weights.get(i, Fraction(0)) for i in range(k)]
+    nbrs = [[] for _ in range(k)]
+    for a, b in d.tree_edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    parent = [-1] * k
+    order = [0]
+    parent[0] = 0
+    for v in order:
+        for u in nbrs[v]:
+            if parent[u] == -1:
+                parent[u] = v
+                order.append(u)
+    sub = list(wts)
+    for v in reversed(order[1:]):
+        sub[parent[v]] += sub[v]
+    for v in range(k):
+        if all((sub[u] if parent[u] == v else 1 - sub[v]) <= HALF for u in nbrs[v]):
+            return v
+    raise AssertionError("no sink")
+
+
+def fraction_separator(g, res, w):
+    """Sink, F and component weights, summed as Fractions."""
+    part = res.partition
+    node_weights = {}
+    for v, node in enumerate(separator_module._anchor_vertices(g, part)):
+        node_weights[node] = node_weights.get(node, Fraction(0)) + w[v]
+    sink = fraction_sink(part.decomp, node_weights)
+    f = tuple(sorted(set().union(*(part.parts[pid] for pid in part.decomp.bags[sink]))))
+    return sink, f, tuple((c, sum((w[v] for v in c), Fraction(0)))
+                          for c in components(g, banned_edges=f))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A small graph and weights <= 1/2 over mixed denominators summing to 1."""
+    n = draw(st.integers(4, 40))
+    make = draw(st.sampled_from([random_tree, outerplanar]))
+    g = make(n, draw(st.integers(0, 999)))
+    raw = [Fraction(draw(st.integers(0, 20)), draw(st.sampled_from([1, 2, 3, 7, 10, 12, 30])))
+           for _ in range(n)]
+    total = sum(raw)
+    assume(total > 0)
+    w = tuple(x / total for x in raw)
+    assume(all(x <= HALF for x in w))
+    return g, w
+
+
+class TestIntegerLoads:
+    """Sink, F and weights from integer loads equal a Fraction reference."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(weighted_graphs())
+    def test_separator_matches_the_fraction_reference(self, inst):
+        g, w = inst
+        res = partition_line_graph(g, 4)
+        assume(not isinstance(res, KtCertificate))
+        sep = separator_from_partition(g, res, w)
+        assert (sep.sink_node, sep.edges, sep.components) == fraction_separator(g, res, w)
+        assert all(isinstance(wt, Fraction) for _, wt in sep.components)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sink_matches_the_fraction_reference(self, data):
+        k = data.draw(st.integers(1, 12))
+        edges = tuple((data.draw(st.integers(0, i - 1)), i) for i in range(1, k))
+        d = TreeDecomposition(bags=((),) * k, tree_edges=edges)
+        raw = {i: Fraction(data.draw(st.integers(0, 9)), data.draw(st.integers(1, 12)))
+               for i in range(k)}
+        total = sum(raw.values())
+        assume(total > 0)
+        weights = {i: x / total for i, x in raw.items()}
+        assert orient_and_find_sink(d, weights) == fraction_sink(d, weights)
 
 
 class TestIsoperimetricWitness:

@@ -219,6 +219,47 @@ class TestMinimalize:
 
 
 @st.composite
+def separable_instances(draw):
+    """A graph, a view, two or three targets, and an edge set F separating them.
+
+    Up to 40 vertices, so that some vertex sets iterate in an order that
+    depends on how they were filled.
+    """
+    n = draw(st.integers(2, 40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)))
+    work = frozenset(draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1)))
+    targets = [frozenset(draw(st.lists(st.sampled_from(sorted(work)), unique=True, max_size=3)))
+               for _ in range(draw(st.integers(2, 3)))]
+    f = tuple(draw(st.lists(st.integers(0, g.m - 1), unique=True))) if g.m else ()
+    assume(not any(all(t & set(c) for t in targets)
+                   for c in components(g, within=work, banned_edges=f)))
+    return g, work, targets, f
+
+
+class TestMinimalizeClasses:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(separable_instances())
+    def test_classes_are_the_components_of_the_view_minus_the_result(self, inst):
+        g, work, targets, f = inst
+        classes = []
+        kept = minimalize_edge_separator(g, f, targets, within=work, classes=classes)
+        assert kept == minimalize_edge_separator(g, f, targets, within=work)
+        comps = components(g, within=work, banned_edges=kept)
+        # equal as sets, in order, and filled in the same order as set(comp)
+        assert [list(c) for c in classes] == [list(set(comp)) for comp in comps]
+
+    def test_a_merged_class_iterates_as_a_component_set_does(self):
+        # fragments (0, 8) and (1,) merge over the dropped edge (0, 1); a set
+        # filled 0, 8, 1 iterates in that order, one filled 0, 1, 8 does not
+        g = Graph(10, [(0, 1), (0, 8), (1, 9)])
+        classes = []
+        assert minimalize_edge_separator(g, (0, 2), [(0,), (9,)], within={0, 1, 8, 9},
+                                         classes=classes) == (2,)
+        assert [list(c) for c in classes] == [[0, 1, 8], [9]]
+
+
+@st.composite
 def lemma_instances(draw):
     n = draw(st.integers(3, 9))
     all_edges = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -245,3 +245,99 @@ class TestLineGraphValidation:
         d = TreeDecomposition(bags=((0, 1), (2,)), tree_edges=((0, 1),))
         assert validate_decomposition(LineView(g), d) == \
             (False, "edge coverage: edge (1,2) in no bag")
+
+
+def first_disconnected_element(d: TreeDecomposition):
+    """The per-element BFS that the top count replaced, kept as its oracle.
+
+    Returns the first element, in order of first bag occurrence, whose
+    nodes do not induce a connected subtree, or None.
+    """
+    nbrs = [[] for _ in range(d.n_nodes)]
+    for a, b in d.tree_edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    nodes_of: dict = {}
+    for i, bag in enumerate(d.bags):
+        for v in bag:
+            nodes_of.setdefault(v, []).append(i)
+    for v, nodes in nodes_of.items():
+        node_set = set(nodes)
+        seen = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            x = stack.pop()
+            for y in nbrs[x]:
+                if y in node_set and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != node_set:
+            return v
+    return None
+
+
+@st.composite
+def subtree_instances(draw):
+    """A random tree of bags over n elements, valid or with split subtrees.
+
+    Tree edges come in random order and orientation, so the BFS parents the
+    validator uses differ from the drawn ones.  The graph has no edges and
+    every element lies in some bag, so only subtree connectivity can fail.
+    A bag may repeat an element, as a parsed artifact can.
+    """
+    k = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 6))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    edges = [(b, a) if draw(st.booleans()) else (a, b)
+             for a, b in draw(st.permutations(edges))]
+    bags = [draw(st.lists(st.integers(0, n - 1), max_size=n)) for _ in range(k)]
+    for v in range(n):
+        if not any(v in bag for bag in bags):
+            bags[draw(st.integers(0, k - 1))].append(v)
+    if draw(st.booleans()):         # make it valid: each element on one path
+        bags = [[] for _ in range(k)]
+        for v in range(n):
+            a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            for node in _tree_path(edges, k, a, b):
+                bags[node].append(v)
+    return Graph(n), TreeDecomposition(bags=tuple(tuple(sorted(b)) for b in bags),
+                                       tree_edges=tuple(edges))
+
+
+def _tree_path(edges, k, a, b):
+    nbrs = [[] for _ in range(k)]
+    for x, y in edges:
+        nbrs[x].append(y)
+        nbrs[y].append(x)
+    parent = {a: None}
+    order = [a]
+    for x in order:
+        for y in nbrs[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path
+
+
+class TestSubtreeConnectivity:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(subtree_instances())
+    def test_top_count_matches_the_bfs(self, inst):
+        g, d = inst
+        v = first_disconnected_element(d)
+        want = (True, None) if v is None else \
+            (False, f"subtree connectivity: vertex {v} spans a disconnected node set")
+        assert validate_decomposition(g, d) == want
+
+    @SETTINGS
+    @given(line_decompositions())
+    def test_top_count_matches_the_bfs_on_pipeline_blowups(self, inst):
+        g, d = inst
+        ok, why = validate_decomposition(LineView(g), d)
+        if ok or why.startswith("subtree"):
+            v = first_disconnected_element(d)
+            assert (ok, why) == ((True, None) if v is None else (
+                False, f"subtree connectivity: vertex {v} spans a disconnected node set"))

@@ -347,9 +347,11 @@ def _check_model(g: Graph, branch_sets, t):
 def _decode_partition(g: Graph, data):
     p = data["params"]
     c_sep = p.get("c_sep")
-    if c_sep is not None and _int(c_sep, "params.c_sep") < 1:
-        raise ParameterError("c_sep must be at least 1")
-    params = Params.for_graph(g, _int(p["t"], "params.t"), c_sep=c_sep)
+    params = Params.for_graph(g, _int(p["t"], "params.t"),
+                              c_sep=None if c_sep is None else _int(c_sep, "params.c_sep"))
+    # 1 is the paper's constant, t - 2 the largest factor this scheme promises
+    if not 1 <= params.c_sep <= params.t - 2:
+        raise ParameterError(f"c_sep must lie in 1..t-2, got {params.c_sep}")
     d = data["decomposition"]
     designated, root_clique = d.get("designated"), d.get("root_clique")
     decomp = TreeDecomposition(
@@ -392,8 +394,12 @@ def _check_separator(g: Graph, f, weights, bound):
     if set(map(tuple, comps)) != set(weights):
         return False, "separator: recorded components disagree with G - F"
     for comp in comps:
+        if weights[tuple(comp)] < 0:
+            return False, f"weights: component {comp[0]}... has negative weight"
         if weights[tuple(comp)] > Fraction(1, 2):
             return False, f"balance: component {comp[0]}... exceeds weight 1/2"
+    if sum(weights.values()) != 1:
+        return False, "weights: component weights do not sum to 1"
     if bound is not None and len(f) > bound:
         return False, "size: |F| exceeds the recorded bound"
     return True, None

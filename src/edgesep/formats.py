@@ -123,7 +123,9 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     if header is None:
         raise FormatError("missing solution line 's td ...'")
     n_bags, _, n_graph = header
-    if set(bags) != set(range(n_bags)):
+    # bag ids are distinct, so in range and as many as announced is a cover;
+    # nothing is allocated from the header's count
+    if len(bags) != n_bags or not all(0 <= i < n_bags for i in bags):
         raise FormatError("bag ids do not cover 1..#bags")
     d = TreeDecomposition(bags=tuple(bags[i] for i in range(n_bags)),
                           tree_edges=tuple(tree_edges))

@@ -10,7 +10,6 @@ All operations are pure and deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 # Sorted tuples of ids; plain tuples keep the values hashable and canonical.
@@ -115,6 +114,59 @@ def _as_set(xs: Iterable[int]):
     return xs if isinstance(xs, (set, frozenset)) else set(xs)
 
 
+def _next_layer(g, layer, inset, seen, opened, banned, out) -> list:
+    """Append to ``out`` the vertices of ``inset`` next to ``layer`` not in ``seen``.
+
+    ``g`` is a Graph or a LineView.  Each vertex found is entered in the dict
+    ``seen``, mapped to the vertex of ``layer`` that found it, and appended
+    in the order found: a layer vertex takes its neighbours in ascending id.
+    With ``out`` the list ``layer`` itself, the layer grows as it is read and
+    the whole reachable set is taken.  ``banned`` edge ids of a Graph are
+    skipped.
+
+    On a LineView a G-vertex in ``opened`` is not opened again: an endpoint
+    opened before gave all of its edges a place in ``seen`` then.  A line
+    vertex with both endpoints new takes their two ascending incidence lists
+    merged, so the view finds neighbours in the order the built L(G) lists
+    them.
+    """
+    if isinstance(g, LineView):
+        edges, adj_eids = g.g.edges, g.g.adj_eids
+        for e in layer:
+            a, b = edges[e]
+            if a in opened:
+                if b in opened:
+                    continue
+                opened.add(b)
+                nbrs = adj_eids[b]
+            elif b in opened:
+                opened.add(a)
+                nbrs = adj_eids[a]
+            else:
+                opened.add(a)
+                opened.add(b)
+                nbrs = sorted(adj_eids[a] + adj_eids[b])    # merges two ascending runs
+            for f in nbrs:
+                if f in inset and f not in seen:
+                    seen[f] = e
+                    out.append(f)
+    elif banned:
+        adj, adj_eids = g.adj, g.adj_eids
+        for v in layer:
+            for u, eid in zip(adj[v], adj_eids[v]):
+                if u in inset and u not in seen and eid not in banned:
+                    seen[u] = v
+                    out.append(u)
+    else:
+        adj = g.adj
+        for v in layer:
+            for u in adj[v]:
+                if u in inset and u not in seen:
+                    seen[u] = v
+                    out.append(u)
+    return out
+
+
 def components(g, within: Optional[Iterable[int]] = None,
                banned_edges: Iterable[int] = ()) -> list[VertexSet]:
     """Connected components of the induced subgraph on ``within``.
@@ -125,30 +177,17 @@ def components(g, within: Optional[Iterable[int]] = None,
     frozenset is read as is, never copied.
     """
     inset = range(g.n) if within is None else _as_set(within)
-    if isinstance(g, LineView):
-        return _line_components(g.g, inset)
     banned = set(banned_edges)
-    adj, adj_eids = g.adj, g.adj_eids
-    seen: set[int] = set()
+    seen: dict = {}
+    opened: set[int] = set()
     out = []
     for s in inset:
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        for v in comp:                  # comp grows as it is read: the BFS queue
-            if banned:
-                for u, eid in zip(adj[v], adj_eids[v]):
-                    if u in inset and u not in seen and eid not in banned:
-                        seen.add(u)
-                        comp.append(u)
-            else:
-                for u in adj[v]:
-                    if u in inset and u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-        comp.sort()
-        out.append(tuple(comp))
+        if s not in seen:
+            seen[s] = None
+            comp = [s]
+            _next_layer(g, comp, inset, seen, opened, banned, comp)
+            comp.sort()
+            out.append(tuple(comp))
     out.sort()          # disjoint sorted tuples: ordered by least vertex
     return out
 
@@ -163,13 +202,25 @@ def neighborhood(g: Graph, xs: Iterable[int]) -> VertexSet:
 
 
 def edges_between(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> EdgeSet:
-    """Ids of edges with one end in xs and the other in ys."""
-    xset, yset = set(xs), set(ys)
-    out = []
-    for eid, (u, v) in enumerate(g.edges):
-        if (u in xset and v in yset) or (u in yset and v in xset):
-            out.append(eid)
-    return tuple(out)
+    """Ids of edges with one end in xs and the other in ys, ascending.
+
+    xs and ys may overlap and repeat ids.  Only the adjacency lists of xs
+    are read, so the cost is their degree sum, not m.
+    """
+    yset = _as_set(ys)
+    adj, adj_eids = g.adj, g.adj_eids
+    out = set()
+    for v in _as_set(xs):
+        for u, eid in zip(adj[v], adj_eids[v]):
+            if u in yset:
+                out.add(eid)
+    return tuple(sorted(out))
+
+
+def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
+    """Ids of edges with both endpoints in ``within``."""
+    inset = _as_set(within)
+    return edges_between(g, inset, inset)
 
 
 def bfs_layers(g, sources: Iterable[int],
@@ -184,77 +235,18 @@ def bfs_layers(g, sources: Iterable[int],
     layers is read.
     """
     inset = range(g.n) if within is None else _as_set(within)
-    seen = set(sources)
+    seen = dict.fromkeys(sources)
     if any(s not in inset for s in seen):
         raise ValueError("sources must lie inside the working vertex set")
-    if not seen:
-        return []
-    layers = [tuple(sorted(seen))]
-    if isinstance(g, LineView):
-        return _line_layers(g.g, layers, seen, inset, depth)
-    adj = g.adj
-    while depth is None or len(layers) <= depth:
-        nxt = []
-        for v in layers[-1]:
-            for u in adj[v]:
-                if u in inset and u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
+    layers = [tuple(sorted(seen))] if seen else []
+    opened: set[int] = set()
+    while layers and (depth is None or len(layers) <= depth):
+        nxt = _next_layer(g, layers[-1], inset, seen, opened, (), [])
         if not nxt:
             break
         nxt.sort()
         layers.append(tuple(nxt))
     return layers
-
-
-def _line_layers(g: Graph, layers: list, seen: set, inset, depth) -> list:
-    """``bfs_layers`` on L(g): each endpoint is opened once.
-
-    An endpoint opened for an earlier layer put all of its edges into that
-    layer or the next, so it can add nothing later and is skipped.
-    """
-    edges, adj_eids = g.edges, g.adj_eids
-    opened: set[int] = set()
-    while depth is None or len(layers) <= depth:
-        nxt = []
-        for e in layers[-1]:
-            for x in edges[e]:
-                if x not in opened:
-                    opened.add(x)
-                    for f in adj_eids[x]:
-                        if f in inset and f not in seen:
-                            seen.add(f)
-                            nxt.append(f)
-        if not nxt:
-            break
-        nxt.sort()
-        layers.append(tuple(nxt))
-    return layers
-
-
-def _line_components(g: Graph, inset) -> list[VertexSet]:
-    """``components`` on L(g), opening each endpoint once."""
-    edges, adj_eids = g.edges, g.adj_eids
-    opened: set[int] = set()
-    seen: set[int] = set()
-    out = []
-    for s in inset:
-        if s in seen:
-            continue
-        seen.add(s)
-        comp = [s]
-        for e in comp:
-            for x in edges[e]:
-                if x not in opened:
-                    opened.add(x)
-                    for f in adj_eids[x]:
-                        if f in inset and f not in seen:
-                            seen.add(f)
-                            comp.append(f)
-        comp.sort()
-        out.append(tuple(comp))
-    out.sort()          # disjoint sorted tuples: ordered by least vertex
-    return out
 
 
 def shortest_path(g, sources: Iterable[int], within, stop) -> list:
@@ -266,64 +258,26 @@ def shortest_path(g, sources: Iterable[int], within, stop) -> list:
     It is returned from its end in ``stop`` back to its source; it is empty
     when ``stop`` is out of reach.
     """
-    sources = sorted(sources)
-    parent = dict.fromkeys(sources)
-    dq = deque(sources)
-    line = isinstance(g, LineView)
-    if line:
-        edges, adj_eids = g.g.edges, g.g.adj_eids
-        opened: set[int] = set()
-    else:
-        adj = g.adj
-    while dq:
-        v = dq.popleft()
-        if v in stop:
+    layer = sorted(sources)
+    parent = dict.fromkeys(layer)
+    opened: set[int] = set()
+    while layer:
+        v = next((v for v in layer if v in stop), None)
+        if v is not None:
             path = [v]
             while parent[v] is not None:
                 v = parent[v]
                 path.append(v)
             return path
-        if line:
-            # an endpoint opened before gave all its edges a parent then
-            a, b = edges[v]
-            if a in opened:
-                if b in opened:
-                    continue
-                opened.add(b)
-                nbrs = adj_eids[b]
-            elif b in opened:
-                opened.add(a)
-                nbrs = adj_eids[a]
-            else:
-                opened.add(a)
-                opened.add(b)
-                nbrs = sorted(adj_eids[a] + adj_eids[b])    # merges two ascending runs
-        else:
-            nbrs = adj[v]
-        for u in nbrs:
-            if u in within and u not in parent:
-                parent[u] = v
-                dq.append(u)
+        layer = _next_layer(g, layer, within, parent, opened, (), [])
     return []
-
-
-def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
-    """Ids of edges with both endpoints in ``within``."""
-    inset = _as_set(within)
-    out = []
-    for v in inset:
-        for u, eid in zip(g.adj[v], g.adj_eids[v]):
-            if v < u and u in inset:
-                out.append(eid)
-    out.sort()
-    return tuple(out)
 
 
 def line_graph(g: Graph) -> Graph:
     """Line graph of g, built in full; line vertex i is the edge of g with id i.
 
     It has sum_v C(deg v, 2) edges.  The pipeline searches a ``LineView``
-    instead; this materialised copy serves tests and oracles.
+    instead; this materialised copy serves tests only.
     """
     return Graph(g.m, LineView(g).edge_pairs())
 

@@ -209,7 +209,7 @@ class _Piece:
     def inner_edges(self, g: Graph) -> set:
         """E(C), carried from here on."""
         if self.edges is None:
-            self.edges = _edges_touching(g, self.verts, self.verts)
+            self.edges = set(edges_between(g, self.verts, self.verts))
         return self.edges
 
 
@@ -278,22 +278,12 @@ def _split(g: Graph, piece: _Piece, around) -> list:
     for verts in closed:
         edges = None
         if piece.edges is not None:     # a closed piece takes its edges along
-            edges = _edges_touching(g, verts, c)
+            edges = set(edges_between(g, verts, c))
             piece.edges -= edges
         c.difference_update(verts)
         pieces.append(_Piece(set(verts), edges))
     pieces.sort(key=_Piece.least)
     return pieces
-
-
-def _edges_touching(g: Graph, verts, c_set) -> set:
-    """C-edges with at least one end in ``verts`` (both ends inside C)."""
-    out = set()
-    for v in verts:
-        for u, eid in zip(g.adj[v], g.adj_eids[v]):
-            if u in c_set:
-                out.add(eid)
-    return out
 
 
 class _Call(NamedTuple):
@@ -379,7 +369,7 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
 
     if tos.is_tree():
         tv = frozenset(tos.tree_vertices)
-        e_new = _edges_touching(g, tv, c)
+        e_new = edges_between(g, tv, c)
         assert e_new, "C is connected with |C| > 1, so the tree touches an edge"
         assert params.allows_part_size(len(e_new)), "tree part exceeds the size budget"
         roots2 = roots + (out.slot(e_new),)
@@ -388,7 +378,7 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
         nb_tv = frozenset(neighborhood(g, tv))
         c -= tv
         if piece.edges is not None:
-            piece.edges -= e_new
+            piece.edges.difference_update(e_new)
         stack.append(_Call(_split(g, piece, nb_tv), roots2, models + (tv,),
                            nbrs + (nb_tv,), measure))
         return None

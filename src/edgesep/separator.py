@@ -18,7 +18,7 @@ from typing import Optional, Union
 from .errors import IncidentError, ParameterError
 from .graphs import EdgeSet, Graph, VertexSet, components, edges_between
 from .partition import KtCertificate, PartitionResult, partition_line_graph
-from .treedecomp import TreeDecomposition, least_common_node
+from .treedecomp import TreeDecomposition, least_common_node, rooted_tree
 
 
 def uniform_weights(n: int) -> tuple:
@@ -175,23 +175,10 @@ def orient_and_find_sink(d: TreeDecomposition, node_weights) -> int:
 def _find_sink(d: TreeDecomposition, loads: list, total: int) -> int:
     """``orient_and_find_sink`` on integer node loads summing to ``total``."""
     k = d.n_nodes
-    nbrs = [[] for _ in range(k)]
-    for a, b in d.tree_edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-
-    # subtree sums via an iterative rooted pass
-    parent = [-1] * k
-    order = [0]
-    parent[0] = 0
-    for v in order:
-        for u in nbrs[v]:
-            if parent[u] == -1:
-                parent[u] = v
-                order.append(u)
+    nbrs, parent, order = rooted_tree(d)
     if len(order) != k:
         raise ParameterError("decomposition tree is disconnected")
-    sub = list(loads)
+    sub = list(loads)      # subtree sums
     for v in reversed(order[1:]):
         sub[parent[v]] += sub[v]
 

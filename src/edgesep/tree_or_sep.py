@@ -18,13 +18,12 @@ decided by integer squaring and ``math.isqrt``.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
-from .graphs import (EdgeSet, Graph, LineView, VertexSet, bfs_layers,
-                     components, induced_edge_ids, shortest_path)
+from .graphs import (EdgeSet, Graph, LineView, VertexSet, _as_set, bfs_layers,
+                     components, edges_between, induced_edge_ids, shortest_path)
 
 class Budget:
     """The exact radius budget sqrt(num/den) - s, for integers num >= 0, den > 0, s.
@@ -89,13 +88,6 @@ class Budget:
         return f"Budget(sqrt({self.num}/{self.den}) - {self.s})"
 
 
-def _view(g, within) -> frozenset:
-    """The working vertex set; a caller's set is used as is, not copied."""
-    if within is None:
-        return frozenset(range(g.n))
-    return within if isinstance(within, (set, frozenset)) else frozenset(within)
-
-
 def guarantee_factor(h: int) -> int:
     """Separator-size guarantee factor of the layered scheme for h targets."""
     return 1 if h <= 1 else h
@@ -129,7 +121,7 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
 
     ``g`` is a Graph or a LineView; the edge flavor passes the latter.
     """
-    work = _view(g, within)
+    work = _as_set(range(g.n) if within is None else within)
     tsets = [frozenset(t) for t in targets]
     h = len(tsets)
     if h == 0:
@@ -226,7 +218,7 @@ def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
         verts = set(res.tree_vertices)
         assert verts <= work, "tree leaves the working set"
         assert len(res.tree_edges) == len(verts) - 1, "tree edge count"
-        seen = _span(res.tree_edges, min(verts))
+        seen, _ = _span(res.tree_edges, min(verts))
         assert seen == verts, "tree is not connected"
         for u, v in res.tree_edges:
             assert g.has_edge(u, v), "tree uses a non-edge"
@@ -243,20 +235,27 @@ def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
                 "a component still meets every target"
 
 
-def _span(edges, start):
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+def _span(pairs, start):
+    """BFS from ``start`` over the edges ``pairs``, a sequence of vertex pairs.
+
+    Returns the vertices reached and the indices of the pairs a BFS tree
+    uses; each vertex takes its neighbours in ascending (vertex, index)
+    order.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, (u, v) in enumerate(pairs):
+        adj.setdefault(u, []).append((v, i))
+        adj.setdefault(v, []).append((u, i))
     seen = {start}
-    dq = deque((start,))
-    while dq:
-        x = dq.popleft()
-        for y in adj.get(x, ()):
+    picked = []
+    order = [start]
+    for x in order:                     # order grows as it is read: the BFS queue
+        for y, i in sorted(adj.get(x, ())):
             if y not in seen:
                 seen.add(y)
-                dq.append(y)
-    return seen
+                picked.append(i)
+                order.append(y)
+    return seen, picked
 
 
 def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
@@ -274,7 +273,7 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     A caller that already holds E(C) for a view without isolated vertices
     passes it as ``inner``; it is trusted, and read as is.
     """
-    work = _view(g, within)
+    work = _as_set(range(g.n) if within is None else within)
     tsets = [frozenset(t) for t in targets]
     h = len(tsets)
     if h == 0:
@@ -296,13 +295,14 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
         raise ParameterError("radius budget r must be >= 1")
     eid_set = inner
     if eid_set is None:
-        eid_set, isolated = _inner_edges(g, work)
+        eid_set = set(induced_edge_ids(g, work))
+        isolated = work.difference(v for e in eid_set for v in g.edges[e])
         if isolated:
             raise ParameterError(f"vertex {min(isolated)} is isolated inside the working set")
     if any(not t for t in tsets):
         return _finish_edge(g, tsets, r_exact, work, "separator", None, None, ())
 
-    line_targets = [_incidence_edges(g, t, eid_set) for t in tsets]
+    line_targets = [edges_between(g, t, work) for t in tsets]
     sub = vertex_tree_or_separator(LineView(g), line_targets, r_exact, within=eid_set)
 
     if sub.is_tree():
@@ -321,31 +321,6 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     return _finish_edge(g, tsets, r_exact, work, "separator", None, None, f, comps)
 
 
-def _inner_edges(g, work):
-    """E(C) as a set of edge ids, and the vertices of C with no edge in it."""
-    eids = set()
-    isolated = []
-    adj, adj_eids = g.adj, g.adj_eids
-    for v in work:
-        inner = False
-        for u, e in zip(adj[v], adj_eids[v]):
-            if u in work:
-                eids.add(e)
-                inner = True
-        if not inner:
-            isolated.append(v)
-    return eids, isolated
-
-
-def _incidence_edges(g, tset, eid_set):
-    out = set()
-    for v in tset:
-        for e in g.adj_eids[v]:
-            if e in eid_set:
-                out.add(e)
-    return tuple(sorted(out))
-
-
 def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
     """Spanning tree (as vertex set + edge ids) of the subgraph these edges form.
 
@@ -353,23 +328,9 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
     a spanning tree keeps the same vertex set and at most as many edges.
     """
     eids = sorted(eids)
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for e in eids:
-        u, v = g.endpoints(e)
-        adj.setdefault(u, []).append((v, e))
-        adj.setdefault(v, []).append((u, e))
-    start = min(adj)
-    seen = {start}
-    picked = []
-    dq = deque((start,))
-    while dq:
-        v = dq.popleft()
-        for u, e in sorted(adj[v]):
-            if u not in seen:
-                seen.add(u)
-                picked.append(e)
-                dq.append(u)
-    return tuple(sorted(seen)), tuple(sorted(picked))
+    pairs = [g.edges[e] for e in eids]
+    seen, picked = _span(pairs, min(u for u, _ in pairs))
+    return tuple(sorted(seen)), tuple(sorted(eids[i] for i in picked))
 
 
 def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep, comps=None) -> TreeOrSeparator:
@@ -396,7 +357,7 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator, comps=None) -> N
         assert len(verts) == len(res.tree_edges) + 1, "tree vertex/edge count"
         if res.tree_edges:
             pairs = [g.endpoints(e) for e in res.tree_edges]
-            seen = _span(pairs, min(verts))
+            seen, _ = _span(pairs, min(verts))
             assert seen == verts, "edge tree is not connected"
             assert len(res.tree_edges) <= r_exact, "edge tree exceeds the budget"
         for i, t in enumerate(tsets):
@@ -430,7 +391,7 @@ def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
     is appended as a set filled in ascending order, ordered by least vertex,
     as ``components`` orders them.
     """
-    work_set = _view(g, within)
+    work_set = _as_set(range(g.n) if within is None else within)
     tsets = [frozenset(t) for t in targets]
     f = sorted(set(f_edges))
 

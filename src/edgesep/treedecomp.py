@@ -88,23 +88,11 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
             return False, "tree structure: bad tree edge"
     if len(set(tuple(sorted(e)) for e in d.tree_edges)) != len(d.tree_edges):
         return False, "tree structure: duplicate tree edge"
-    nbrs = [[] for _ in range(k)]
-    for a, b in d.tree_edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    parent: list = [None] * k           # in the tree rooted at node 0; the root's is -1
-    if k > 0:
-        if len(d.tree_edges) != k - 1:
-            return False, "tree structure: edge count is not nodes-1"
-        parent[0] = -1
-        order = [0]
-        for v in order:                 # order grows as it is read: the BFS queue
-            for u in nbrs[v]:
-                if parent[u] is None:
-                    parent[u] = v
-                    order.append(u)
-        if len(order) != k:
-            return False, "tree structure: tree is disconnected"
+    if k > 0 and len(d.tree_edges) != k - 1:
+        return False, "tree structure: edge count is not nodes-1"
+    _, parent, order = rooted_tree(d)
+    if len(order) != k:
+        return False, "tree structure: tree is disconnected"
 
     covered: set[int] = set()
     for bag in d.bags:
@@ -149,6 +137,31 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
         if d.root_clique is not None and not set(d.root_clique) <= bag_sets[d.designated]:
             return False, "designated bag: designated bag misses the root clique"
     return True, None
+
+
+def rooted_tree(d: TreeDecomposition) -> tuple[list, list, list]:
+    """The tree of ``d`` rooted at node 0, by one BFS over ``d.tree_edges``.
+
+    Returns each node's neighbour list, each node's parent (-1 at the root,
+    None at a node the root does not reach) and the reached nodes in BFS
+    order; a valid tree reaches all of its nodes.
+    """
+    k = d.n_nodes
+    nbrs: list = [[] for _ in range(k)]
+    for a, b in d.tree_edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    parent: list = [None] * k
+    order = []
+    if k:
+        parent[0] = -1
+        order.append(0)
+    for v in order:                     # order grows as it is read: the BFS queue
+        for u in nbrs[v]:
+            if parent[u] is None:
+                parent[u] = v
+                order.append(u)
+    return nbrs, parent, order
 
 
 def least_common_node(members, nodes_of, bags) -> Optional[int]:

@@ -222,6 +222,17 @@ class TestVerify:
         assert code == 1
         assert "'params'" in json.loads(out)["violation"]
 
+    @pytest.mark.parametrize("weight", ["0/1", "-5/1"])
+    def test_recorded_weights_must_sum_to_one_and_not_be_negative(self, weight, tmp_path):
+        # F is empty, so G - F is all of P_6 and its weight is 1
+        g = tmp_path / "p6.gr"
+        g.write_text(emit_graph(path(6)))
+        art = tmp_path / "s.json"
+        art.write_text(json.dumps({"edges": [], "components": [
+            {"vertices": list(range(6)), "weight": weight}]}))
+        code, out = run_cli(["verify", "separator", str(art), "--against", str(g)])
+        assert code == 1 and json.loads(out)["violation"].startswith("weights:")
+
     def _tampered(self, tmp_path, kind, graph_file, mutate):
         """Exit code and violation of ``verify`` on a mutated fresh artifact."""
         art = tmp_path / "a.json"
@@ -237,6 +248,8 @@ class TestVerify:
     MALFORMED = {
         "t-out-of-range": ("partition", lambda d: d["params"].update(t=2)),
         "negative-c-sep": ("partition", lambda d: d["params"].update(c_sep=-1)),
+        # above t - 2 a single part holding every edge would pass the size test
+        "oversized-c-sep": ("partition", lambda d: d["params"].update(c_sep=10**6)),
         "params-list": ("partition", lambda d: d.update(params=[5])),
         "part-element": ("partition", lambda d: d["parts"][0].append("x")),
         "h-edge-arity": ("partition", lambda d: d["h_edges"].append([0])),

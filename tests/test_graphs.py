@@ -1,11 +1,14 @@
 """Graph core: constructors, primitive operations, and their invariants."""
 
+from collections import deque
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgesep import (Graph, LineView, bfs_layers, components, edges_between,
-                     line_graph, max_degree, neighborhood, validate_model)
+                     induced_edge_ids, line_graph, max_degree, neighborhood,
+                     validate_model)
 from edgesep.graphs import shortest_path
 from edgesep.generators import grid, path, star
 
@@ -32,6 +35,53 @@ def graphs(draw, max_n=8):
     else:
         edges = []
     return Graph(n, edges)
+
+
+def deque_shortest_path(g, sources, within, stop) -> list:
+    """Reference ``shortest_path``: one deque BFS with a branch per graph kind."""
+    sources = sorted(sources)
+    parent = dict.fromkeys(sources)
+    dq = deque(sources)
+    line = isinstance(g, LineView)
+    if line:
+        edges, adj_eids = g.g.edges, g.g.adj_eids
+        opened = set()
+    while dq:
+        v = dq.popleft()
+        if v in stop:
+            path = [v]
+            while parent[v] is not None:
+                v = parent[v]
+                path.append(v)
+            return path
+        if line:
+            a, b = edges[v]
+            if a in opened:
+                if b in opened:
+                    continue
+                opened.add(b)
+                nbrs = adj_eids[b]
+            elif b in opened:
+                opened.add(a)
+                nbrs = adj_eids[a]
+            else:
+                opened.add(a)
+                opened.add(b)
+                nbrs = sorted(adj_eids[a] + adj_eids[b])
+        else:
+            nbrs = g.adj[v]
+        for u in nbrs:
+            if u in within and u not in parent:
+                parent[u] = v
+                dq.append(u)
+    return []
+
+
+def scan_edges_between(g, xs, ys) -> tuple:
+    """Reference ``edges_between``: a scan of all m edges."""
+    xset, yset = set(xs), set(ys)
+    return tuple(eid for eid, (u, v) in enumerate(g.edges)
+                 if (u in xset and v in yset) or (u in yset and v in xset))
 
 
 class TestConstruction:
@@ -107,6 +157,23 @@ class TestEdgesBetween:
     def test_star_center_vs_leaves(self):
         g = star(5)
         assert edges_between(g, (0,), (1, 2, 3, 4)) == (0, 1, 2, 3)
+
+    def test_reads_only_the_first_sides_lists(self, monkeypatch):
+        g = star(20000)
+        adj = _CountingTuple(g.adj)
+        monkeypatch.setattr(g, "adj", adj)
+        assert edges_between(g, (5, 7), range(g.n)) == (4, 6)
+        assert adj.reads == 2
+
+    @SETTINGS
+    @given(graphs(), st.data())
+    def test_matches_a_scan_of_all_edges(self, g, data):
+        # overlapping sides, repeated ids
+        xs = data.draw(st.lists(st.integers(0, g.n - 1)))
+        ys = data.draw(st.lists(st.integers(0, g.n - 1)) | st.just(xs + xs[:2]))
+        assert edges_between(g, xs, ys) == scan_edges_between(g, xs, ys)
+        assert edges_between(g, ys, xs) == scan_edges_between(g, xs, ys)
+        assert induced_edge_ids(g, xs) == scan_edges_between(g, xs, xs)
 
 
 class TestNeighborhood:
@@ -266,12 +333,34 @@ class TestLineView:
         assert shortest_path(LineView(g), sources, within, stop) == \
             shortest_path(line_graph(g), sources, within, stop)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(line_views(), st.data())
+    def test_shortest_paths_match_the_deque_search(self, view, data):
+        # the reference fixes BFS parents as well as path lengths, for both kinds
+        g, within = view
+        for kind, ids in ((LineView(g), sorted(within)), (g, list(range(g.n)))):
+            inside = frozenset(data.draw(st.just(ids) | st.lists(
+                st.sampled_from(ids), min_size=1, unique=True)))
+            sources = data.draw(st.lists(st.sampled_from(sorted(inside)), min_size=1,
+                                         max_size=2, unique=True))
+            stop = set(data.draw(st.lists(st.sampled_from(ids), max_size=3,
+                                          unique=True))).difference(sources)
+            assert shortest_path(kind, sources, inside, stop) == \
+                deque_shortest_path(kind, sources, inside, stop)
+
     def test_shortest_path_queues_both_endpoints_in_ascending_id(self):
         # in K_4, edge 2 = (0,3) reaches edges 0, 1 through vertex 0 and
         # 4, 5 through vertex 3; BFS order 0, 1, 4, 5 meets 1 before 5
         g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         for view in (LineView(g), line_graph(g)):
             assert shortest_path(view, [2], frozenset(range(g.m)), {1, 5}) == [1, 2]
+
+    def test_shortest_path_merges_the_endpoint_lists(self):
+        # edge 1 = (1,2) reaches edges 1, 2 through vertex 1 and 0, 1 through
+        # vertex 2; the merged order meets edge 0 first
+        g = Graph(4, [(0, 2), (1, 2), (1, 3)])
+        for view in (LineView(g), line_graph(g)):
+            assert shortest_path(view, [1], frozenset(range(g.m)), {0, 2}) == [0, 1]
 
     def test_a_star_is_searched_without_its_line_graph(self, monkeypatch):
         # L(star(n)) = K_{n-1} has ~n^2/2 edges; each search opens every

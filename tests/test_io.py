@@ -1,5 +1,8 @@
 """Text formats and instance generators."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +65,27 @@ class TestDecompositionFormat:
         assert emit_decomposition(TreeDecomposition((), ()), 0) == "s td 0 0 0\n"
         parsed, n = parse_decomposition("s td 0 0 0\n")
         assert parsed.n_nodes == 0 and n == 0
+
+    def test_bag_count_is_not_allocated_from_the_header(self):
+        # the check compares counts and an id range; building range(10^18)
+        # would exhaust the 256 MB of address space the child gives itself
+        script = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
+                  "from edgesep.errors import FormatError\n"
+                  "from edgesep.formats import parse_decomposition\n"
+                  "try:\n"
+                  "    parse_decomposition('s td 1000000000000000000 1 1\\n')\n"
+                  "except FormatError as exc:\n"
+                  "    print(exc)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "bag ids do not cover 1..#bags", out.stderr
+
+    @pytest.mark.parametrize("text", ["s td 2 1 1\nb 1 1\nb 3 1\n", "s td -1 0 0\n"],
+                             ids=["id-past-the-count", "negative-count"])
+    def test_bag_ids_must_cover_the_count(self, text):
+        with pytest.raises(FormatError, match="bag ids do not cover"):
+            parse_decomposition(text)
 
     def test_missing_solution_line(self):
         with pytest.raises(FormatError, match="solution"):

@@ -1,6 +1,7 @@
 """Tree-or-separator subroutines: examples, contracts, minimalization."""
 
 import sys
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -321,6 +322,68 @@ class TestCarriedInnerEdges:
         inner = set(induced_edge_ids(g, view))
         assert edge_tree_or_separator(g, targets, r, within=view, inner=inner) == \
             edge_tree_or_separator(g, targets, r, within=view)
+
+
+def deque_span(edges, start) -> set:
+    """Reference for the vertices ``tree_or_sep._span`` reaches."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    seen = {start}
+    dq = deque((start,))
+    while dq:
+        x = dq.popleft()
+        for y in adj.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                dq.append(y)
+    return seen
+
+
+def deque_spanning_tree_of_edges(g, eids):
+    """Reference ``tree_or_sep._spanning_tree_of_edges``: its own deque BFS."""
+    eids = sorted(eids)
+    adj = {}
+    for e in eids:
+        u, v = g.endpoints(e)
+        adj.setdefault(u, []).append((v, e))
+        adj.setdefault(v, []).append((u, e))
+    start = min(adj)
+    seen = {start}
+    picked = []
+    dq = deque((start,))
+    while dq:
+        v = dq.popleft()
+        for u, e in sorted(adj[v]):
+            if u not in seen:
+                seen.add(u)
+                picked.append(e)
+                dq.append(u)
+    return tuple(sorted(seen)), tuple(sorted(picked))
+
+
+class TestTreeSearches:
+    """The one BFS over labelled pairs gives what the two deque searches gave."""
+
+    @SETTINGS
+    @given(lemma_instances(), st.data())
+    def test_span_reaches_what_the_deque_search_reaches(self, inst, data):
+        g = inst[0]
+        pairs = data.draw(st.lists(st.sampled_from(g.edges)))
+        start = data.draw(st.integers(0, g.n - 1))
+        seen, picked = tree_or_sep._span(pairs, start)
+        assert seen == deque_span(pairs, start)
+        assert len(picked) == len(seen) - 1
+        assert deque_span([pairs[i] for i in picked], start) == seen
+
+    @SETTINGS
+    @given(lemma_instances(), st.data())
+    def test_spanning_tree_matches_the_deque_search(self, inst, data):
+        g = inst[0]
+        eids = data.draw(st.lists(st.integers(0, g.m - 1), min_size=1, unique=True))
+        assert tree_or_sep._spanning_tree_of_edges(g, eids) == \
+            deque_spanning_tree_of_edges(g, eids)
 
 
 class TestLineViewSearch:

@@ -39,8 +39,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, FormatError, OracleLimitError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ParameterError, FormatError, OracleLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IncidentError as exc:
@@ -287,7 +286,11 @@ def _cmd_verify(args) -> int:
         if ok and declared_n != target.n:
             ok, why = False, "vertex coverage: declared vertex count mismatch"
     else:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # not JSON, an integer too long to convert, or nested too deep
+            raise FormatError(str(exc)) from None
         needed, decode, check = {
             "model": ("branch_sets", _decode_model, _check_model),
             "partition": ("parts", _decode_partition, _check_partition),
@@ -344,7 +347,7 @@ def _check_model(g: Graph, branch_sets, t):
     return ok, why
 
 
-def _decode_partition(g: Graph, data):
+def _decode_params(g: Graph, data) -> Params:
     p = data["params"]
     c_sep = p.get("c_sep")
     params = Params.for_graph(g, _int(p["t"], "params.t"),
@@ -352,6 +355,11 @@ def _decode_partition(g: Graph, data):
     # 1 is the paper's constant, t - 2 the largest factor this scheme promises
     if not 1 <= params.c_sep <= params.t - 2:
         raise ParameterError(f"c_sep must lie in 1..t-2, got {params.c_sep}")
+    return params
+
+
+def _decode_partition(g: Graph, data):
+    params = _decode_params(g, data)
     d = data["decomposition"]
     designated, root_clique = d.get("designated"), d.get("root_clique")
     decomp = TreeDecomposition(
@@ -381,13 +389,16 @@ def _decode_separator(g: Graph, data):
     weights = {}
     for entry in data["components"]:
         num, den = entry["weight"].split("/")
-        weights[_ints(entry["vertices"], "components.vertices")] = Fraction(int(num), int(den))
+        verts = _ints(entry["vertices"], "components.vertices")
+        if verts in weights:
+            raise ValueError(f"components: {list(verts)} is listed twice")
+        weights[verts] = Fraction(int(num), int(den))
     bound = data.get("bound_used")
     return (set(_ints(data["edges"], "edges")), weights,
-            None if bound is None else _int(bound, "bound_used"))
+            None if bound is None else _int(bound, "bound_used"), _decode_params(g, data))
 
 
-def _check_separator(g: Graph, f, weights, bound):
+def _check_separator(g: Graph, f, weights, bound, params):
     if not all(0 <= e < g.m for e in f):
         return False, "separator: edge id out of range"
     comps = components(g, banned_edges=f)
@@ -400,8 +411,13 @@ def _check_separator(g: Graph, f, weights, bound):
             return False, f"balance: component {comp[0]}... exceeds weight 1/2"
     if sum(weights.values()) != 1:
         return False, "weights: component weights do not sum to 1"
-    if bound is not None and len(f) > bound:
-        return False, "size: |F| exceeds the recorded bound"
+    # the bound is recomputed from G: an artifact cannot raise its own
+    bound_used = (params.t - 1) * params.p_floor()
+    if bound is not None and bound != bound_used:
+        return False, (f"size: recorded bound_used {bound} is not "
+                       f"(t-1)*floor(p_impl) = {bound_used}")
+    if len(f) > bound_used:
+        return False, f"size: |F| = {len(f)} exceeds (t-1)*floor(p_impl) = {bound_used}"
     return True, None
 
 

@@ -385,7 +385,7 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
 
     comps: list = []                # the components of C - F
     f = frozenset(minimalize_edge_separator(g, tos.separator, targets, within=c,
-                                            classes=comps))
+                                            classes=comps, fragments=tos.fragments))
     assert f, "connected C with nonempty targets forces a nonempty separator"
     assert params.allows_part_size(len(f)), "separator part exceeds the size budget"
     assert len(comps) >= 2, "an inclusion-minimal separator splits C"

@@ -13,12 +13,24 @@ h >= 2 (1 for h = 1); the factor is recorded on every result and the full
 contract is re-verified exactly before anything is returned.  The radius
 budget is a ``Budget``, sqrt(num/den) - s in integers, so every bound is
 decided by integer squaring and ``math.isqrt``.
+
+An h = 2 search whose last target is connected and holds v = min(first
+target) returns the tree (v,) before any BFS.  The ball it would search is
+then one component holding v, its h = 1 step picks v, and the extension
+finds v among its sources, so the full search returns that same tree.
+
+A separator outcome of the edge flavor scans C once: the components of
+G[C] - F are computed one time, and the survivor test, both contract checks
+and the caller's ``minimalize_edge_separator`` (through ``fragments``) read
+that list.  The line contract can be checked on it, because a component of
+E(C) - Z in the line graph is exactly the edge set of a component of
+G[C] - Z with two or more vertices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
@@ -110,6 +122,9 @@ class TreeOrSeparator:
     tree_vertices: Optional[VertexSet] = None
     tree_edges: Optional[tuple] = None
     separator: Optional[tuple] = None
+    # the components of the view minus an edge separator, as its check found
+    # them; the caller's minimalization starts from them
+    fragments: Optional[list] = field(default=None, compare=False, repr=False)
 
     def is_tree(self) -> bool:
         return self.kind == "tree"
@@ -119,7 +134,7 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
                              within: Optional[Iterable[int]] = None) -> TreeOrSeparator:
     """Vertex flavor of the lemma on the induced subgraph over ``within``.
 
-    ``g`` is a Graph or a LineView; the edge flavor passes the latter.
+    ``g`` is a Graph or a LineView.
     """
     work = _as_set(range(g.n) if within is None else within)
     tsets = [frozenset(t) for t in targets]
@@ -132,15 +147,18 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
     r_exact = Budget.of(r)
     if h > 1 and r_exact < 1:
         raise ParameterError("radius budget r must be >= 1")
-    kind, tv, te, sep = _vertex_scheme(g, tsets, r_exact, work)
-    result = TreeOrSeparator(
+    result = _vertex_result(h, *_vertex_scheme(g, tsets, r_exact, work))
+    _verify_vertex(g, tsets, r_exact, work, result)
+    return result
+
+
+def _vertex_result(h, kind, tv, te, sep) -> TreeOrSeparator:
+    return TreeOrSeparator(
         flavor="vertex", kind=kind, h=h,
         c_sep=guarantee_factor(h),
         achieved=len(tv) if kind == "tree" else len(sep),
         tree_vertices=tv, tree_edges=te, separator=sep,
     )
-    _verify_vertex(g, tsets, r_exact, work, result)
-    return result
 
 
 def _vertex_scheme(g, tsets, r_exact, work):
@@ -164,6 +182,15 @@ def _vertex_scheme(g, tsets, r_exact, work):
     k = max(k, 1)
     sub_budget = r_exact - (k - 1)
 
+    # A connected last target makes the ball below one component holding
+    # it; for h = 2 with v = min(first target) inside that target the search
+    # picks v and extends nothing, so (v,) is its answer (module docstring).
+    connected = len(components(g, within=tsets[-1])) == 1
+    if h == 2 and connected:
+        v = min(tsets[0])
+        if v in tsets[-1]:
+            return "tree", (v,), (), None
+
     layers = bfs_layers(g, tsets[-1], within=work, depth=k)
     sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
     j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
@@ -175,7 +202,7 @@ def _vertex_scheme(g, tsets, r_exact, work):
     # layer 0 makes the whole ball one component.
     z_parts = [layers[j_star] if j_star < len(layers) else ()]
     ball = {v for layer in layers[:j_star] for v in layer}
-    if len(components(g, within=layers[0])) == 1:
+    if connected:
         comps = [ball]
     else:
         comps = [frozenset(comp) for comp in components(g, within=ball)]
@@ -211,8 +238,15 @@ def _extend_to(g, comp, target, tree_verts, tree_edges):
     return tuple(sorted(tree_verts)), tuple(sorted(tree_edges))
 
 
-def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
-    """Exact re-check of the vertex contract; AssertionError means a bug."""
+def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator,
+                   host=None, host_comps=None) -> None:
+    """Exact re-check of the vertex contract; AssertionError means a bug.
+
+    For a line view ``g`` of ``host`` over E(C), ``host_comps``, when given,
+    are the components of the host's C minus the separator Z: a line target
+    meets the line component inside one of them exactly when one of the
+    target's edges outside Z has an endpoint in it (module docstring).
+    """
     h = len(tsets)
     if res.kind == "tree":
         verts = set(res.tree_vertices)
@@ -230,9 +264,14 @@ def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator) -> None:
         assert z <= work, "separator leaves the working set"
         cap = res.c_sep * (h - 1) * len(work)
         assert r_exact * len(z) <= cap, "separator exceeds its size bound"
-        for comp in components(g, within=work - z):
-            assert not all(set(comp) & t for t in tsets), \
-                "a component still meets every target"
+        if host_comps is None:
+            for comp in components(g, within=work - z):
+                assert not all(set(comp) & t for t in tsets), \
+                    "a component still meets every target"
+        else:
+            comp_of = {v: i for i, comp in enumerate(host_comps) for v in comp}
+            met = [{comp_of[host.edges[e][0]] for e in t if e not in z} for t in tsets]
+            assert not set.intersection(*met), "a component still meets every target"
 
 
 def _span(pairs, start):
@@ -302,15 +341,22 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     if any(not t for t in tsets):
         return _finish_edge(g, tsets, r_exact, work, "separator", None, None, ())
 
-    line_targets = [edges_between(g, t, work) for t in tsets]
-    sub = vertex_tree_or_separator(LineView(g), line_targets, r_exact, within=eid_set)
+    # the line targets lie in E(C), and r >= 1: the search runs as the
+    # vertex flavor would run it, and its line contract is re-checked below
+    line = LineView(g)
+    line_targets = [frozenset(edges_between(g, t, work)) for t in tsets]
+    sub = _vertex_result(h, *_vertex_scheme(line, line_targets, r_exact, eid_set))
 
     if sub.is_tree():
+        _verify_vertex(line, line_targets, r_exact, eid_set, sub)
         verts, eids = _spanning_tree_of_edges(g, sub.tree_vertices)
         return _finish_edge(g, tsets, r_exact, work, "tree", verts, eids, None)
 
+    # the one scan of C for this outcome: both contract checks, the survivor
+    # test and the caller's minimalization read this list
     f = tuple(sorted(sub.separator))
     comps = components(g, within=work, banned_edges=f)
+    _verify_vertex(line, line_targets, r_exact, eid_set, sub, g, comps)
     for comp in comps:
         cset = set(comp)
         if all(cset & t for t in tsets):
@@ -318,7 +364,8 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
             # is a single vertex common to every target
             assert len(comp) == 1, "multi-vertex component survived the line separator"
             return _finish_edge(g, tsets, r_exact, work, "tree", (comp[0],), (), None)
-    return _finish_edge(g, tsets, r_exact, work, "separator", None, None, f, comps)
+    return _finish_edge(g, tsets, r_exact, work, "separator", None, None, f,
+                        comps, eid_set)
 
 
 def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
@@ -333,22 +380,25 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
     return tuple(sorted(seen)), tuple(sorted(eids[i] for i in picked))
 
 
-def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep, comps=None) -> TreeOrSeparator:
+def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep,
+                 comps=None, inner=()) -> TreeOrSeparator:
     res = TreeOrSeparator(
         flavor="edge", kind=kind, h=len(tsets),
         c_sep=guarantee_factor(len(tsets)),
         achieved=len(te) if kind == "tree" else len(sep),
-        tree_vertices=tv, tree_edges=te, separator=sep,
+        tree_vertices=tv, tree_edges=te, separator=sep, fragments=comps,
     )
-    _verify_edge(g, tsets, r_exact, work, res, comps)
+    _verify_edge(g, tsets, r_exact, work, res, comps, inner)
     return res
 
 
-def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator, comps=None) -> None:
+def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator,
+                 comps=None, inner=()) -> None:
     """Exact re-check of the edge contract; AssertionError means a bug.
 
     ``comps``, when given, are the components of the working graph minus a
-    separator outcome, already computed by the caller.
+    separator outcome, already computed by the caller; ``inner`` is the E(C)
+    the search ran on, against which a nonempty separator's size is capped.
     """
     h = len(tsets)
     if res.kind == "tree":
@@ -364,10 +414,10 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator, comps=None) -> N
             assert verts & t, f"edge tree misses target {i}"
     else:
         f = set(res.separator)
-        work_eids = induced_edge_ids(g, work)
-        assert f.issubset(work_eids), "separator uses edges outside the view"
-        cap = res.c_sep * (h - 1) * len(work_eids)
+        assert all(u in work and v in work for u, v in map(g.endpoints, f)), \
+            "separator uses edges outside the view"
         if f:
+            cap = res.c_sep * (h - 1) * len(inner)
             assert r_exact * len(f) <= cap, "edge separator exceeds its size bound"
         if comps is None:
             comps = components(g, within=work, banned_edges=f)
@@ -379,7 +429,8 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator, comps=None) -> N
 def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
                               targets: Sequence[Iterable[int]],
                               within: Optional[Iterable[int]] = None,
-                              classes: Optional[list] = None) -> EdgeSet:
+                              classes: Optional[list] = None,
+                              fragments: Optional[list] = None) -> EdgeSet:
     """Shrink a separating edge set to an inclusion-minimal one.
 
     Edges are considered in ascending id order; an edge is dropped when the
@@ -390,12 +441,18 @@ def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
     the result.  A caller that needs them passes a list as ``classes``; each
     is appended as a set filled in ascending order, ordered by least vertex,
     as ``components`` orders them.
+
+    ``fragments``, when given, are the components of the view minus
+    ``f_edges`` as ``components`` lists them, such as the ``fragments`` of
+    an edge separator outcome; the view is then not scanned again.
     """
     work_set = _as_set(range(g.n) if within is None else within)
     tsets = [frozenset(t) for t in targets]
     f = sorted(set(f_edges))
 
-    comps = components(g, within=work_set, banned_edges=f)
+    comps = fragments
+    if comps is None:
+        comps = components(g, within=work_set, banned_edges=f)
     full = (1 << len(tsets)) - 1
     if any(_hits(c, tsets) == full for c in comps):
         raise ParameterError("input edge set does not separate the targets")

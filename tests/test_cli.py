@@ -9,6 +9,8 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesep import Graph, cli, graphs
 from edgesep.cli import main
@@ -228,7 +230,7 @@ class TestVerify:
         g = tmp_path / "p6.gr"
         g.write_text(emit_graph(path(6)))
         art = tmp_path / "s.json"
-        art.write_text(json.dumps({"edges": [], "components": [
+        art.write_text(json.dumps({"edges": [], "params": {"t": 5}, "components": [
             {"vertices": list(range(6)), "weight": weight}]}))
         code, out = run_cli(["verify", "separator", str(art), "--against", str(g)])
         assert code == 1 and json.loads(out)["violation"].startswith("weights:")
@@ -259,6 +261,11 @@ class TestVerify:
                           lambda d: d["components"][0].update(weight=1)),
         "edges-string": ("separator", lambda d: d.update(edges="0")),
         "bound-float": ("separator", lambda d: d.update(bound_used=1.5)),
+        "separator-without-params": ("separator", lambda d: d.pop("params")),
+        # a repeat would let the listed weights sum past 1 unnoticed
+        "repeated-component": ("separator",
+                               lambda d: d["components"].append(d["components"][0])),
+        "separator-oversized-c-sep": ("separator", lambda d: d["params"].update(c_sep=10**6)),
         "model-t-string": ("model", lambda d: d.update(t="5")),
     }
 
@@ -271,6 +278,34 @@ class TestVerify:
         code, why = self._tampered(tmp_path, kind, grid_file, mutate)
         assert code == 1 and why.startswith(f"artifact: malformed {kind} artifact")
 
+    @pytest.mark.parametrize("bound", [10**9, 624, None],
+                             ids=["forged-bound", "true-bound", "no-bound"])
+    def test_a_separator_over_the_recomputed_bound_is_a_size_violation(self, bound,
+                                                                     tmp_path):
+        g = tmp_path / "p2000.gr"
+        g.write_text(emit_graph(path(2000)))
+        code, out = run_cli(["separate", str(g), "--t", "5", "--uniform"])
+        assert code == 0 and json.loads(out)["bound_used"] == 624
+        # every edge as F: 2,000 singletons of weight 1/2000 balance trivially
+        forged = {"params": {"t": 5, "c_sep": 3}, "edges": list(range(1999)),
+                  "components": [{"vertices": [v], "weight": "1/2000"} for v in range(2000)]}
+        if bound is not None:
+            forged["bound_used"] = bound
+        art = tmp_path / "s.json"
+        art.write_text(json.dumps(forged))
+        code, out = run_cli(["verify", "separator", str(art), "--against", str(g)])
+        assert code == 1 and json.loads(out)["violation"].startswith("size:")
+
+    @pytest.mark.parametrize("text", ["[" * 100000, "1" + "0" * 5000, "{", ""],
+                             ids=["nested-too-deep", "integer-too-long", "unterminated",
+                                  "empty"])
+    def test_unreadable_json_is_a_usage_error(self, text, grid_file, tmp_path):
+        art = tmp_path / "a.json"
+        art.write_text(text)
+        for kind in ("model", "partition", "separator"):
+            code, err = run_cli_stderr(["verify", kind, str(art), "--against", grid_file])
+            assert code == 2 and err.startswith("error: ")
+
     def test_model_artifact(self, tmp_path):
         g = tmp_path / "k8.gr"
         g.write_text(emit_graph(complete(8)))
@@ -278,6 +313,88 @@ class TestVerify:
         run_cli(["partition", str(g), "--t", "5", "--out", str(art)])
         code, out = run_cli(["verify", "model", str(art), "--against", str(g)])
         assert code == 0 and json.loads(out)["ok"] is True
+
+
+SMALL = st.integers(-2, 8)
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL, st.integers(), st.floats(),
+              st.text(max_size=5),
+              st.sampled_from(["1/2", "1/6", "0/1", "-1/2", "1/0", "a/b", "1/2/3"])),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=4),
+    max_leaves=12)
+NEAR = st.one_of(JSON, SMALL, st.lists(SMALL, max_size=4),
+                 st.lists(st.lists(SMALL, max_size=4), max_size=4),
+                 st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=5))
+# every field some ``verify`` decoder reads, each holding near-valid values
+ARTIFACTS = st.one_of(JSON, st.fixed_dictionaries({}, optional={
+    "t": NEAR, "branch_sets": NEAR, "parts": NEAR, "h_edges": NEAR,
+    "root_clique": NEAR, "embedding": NEAR, "edges": NEAR, "bound_used": NEAR,
+    "params": NEAR | st.fixed_dictionaries({}, optional={
+        "t": st.integers(3, 6) | NEAR, "c_sep": st.integers(1, 3) | NEAR}),
+    "decomposition": NEAR | st.fixed_dictionaries({}, optional={
+        "bags": NEAR, "tree_edges": NEAR, "designated": NEAR, "root_clique": NEAR}),
+    "components": NEAR | st.lists(st.fixed_dictionaries({}, optional={
+        "vertices": st.lists(SMALL, max_size=4), "weight": NEAR}), max_size=4),
+}))
+
+
+def mutated(data, artifact):
+    """A copy of ``artifact`` with up to three fields replaced or deleted.
+
+    Each edit walks down from the top through dicts and lists and stops at a
+    random depth, so it may hit ``params.t``, one bag or one weight.  Half of
+    the edits keep the type of what they replace.
+    """
+    artifact = json.loads(json.dumps(artifact))
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = artifact
+        while node:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+                node = node[key]
+                continue
+            action = data.draw(st.sampled_from(["same type", "same type", "delete", "any"]))
+            if action == "delete":
+                del node[key]
+            elif action == "any" or not isinstance(node[key], (int, list)):
+                node[key] = data.draw(NEAR)
+            else:           # an int stays an int, a list a list: past the decoders
+                node[key] = data.draw(SMALL if isinstance(node[key], int)
+                                      else st.lists(SMALL, max_size=4))
+            break
+    return artifact
+
+
+class TestHostileArtifacts:
+    @pytest.fixture(scope="class")
+    def small_grid(self, tmp_path_factory):
+        """grid(2, 3) and a valid artifact of each kind for it."""
+        p = tmp_path_factory.mktemp("hostile") / "g.gr"
+        p.write_text(emit_graph(grid(2, 3)))
+        valid = {"model": {"branch_sets": [[0, 1], [2, 5], [3, 4]], "t": 3}}
+        for kind, argv in (("partition", ["partition"]),
+                           ("separator", ["separate", "--uniform"])):
+            code, out = run_cli([argv[0], str(p), "--t", "5"] + argv[1:])
+            valid[kind] = json.loads(out)
+        for kind, artifact in valid.items():
+            a = p.with_name(f"{kind}.json")
+            a.write_text(json.dumps(artifact))
+            assert run_cli(["verify", kind, str(a), "--against", str(p)])[0] == 0
+        return p, valid
+
+    # half of the draws edit a valid artifact, so most of them reach the
+    # validators rather than stopping at a missing or mistyped field
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.sampled_from(["model", "partition", "separator"]), st.booleans(), st.data())
+    def test_verify_exits_with_a_documented_code(self, small_grid, kind, edit, data):
+        graph, valid = small_grid
+        artifact = mutated(data, valid[kind]) if edit else data.draw(ARTIFACTS)
+        art = graph.with_name("a.json")
+        art.write_text(json.dumps(artifact))
+        code, _ = run_cli_stderr(["verify", kind, str(art), "--against", str(graph)])
+        assert code in (0, 1, 2)
 
 
 class TestOracleCommand:

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesep import Graph, has_kt_minor, max_degree, validate_decomposition
 from edgesep.errors import FormatError, ParameterError
@@ -107,6 +109,49 @@ class TestWeightsFormat:
     def test_bad_fraction(self):
         with pytest.raises(FormatError, match="malformed weight"):
             parse_weights("1 x/y\n", 2)
+
+
+# Lines built from the formats' own tokens reach past the first check.  Ids
+# stay small: a header's vertex count is allocated before any edge is read
+TOKENS = st.one_of(
+    st.sampled_from(["p", "tw", "s", "td", "b", "c", "x", "", "-", "/", "1/2", "-1/3",
+                     "3/0", "1/2/3", "1e3", "0x10", "1_0", "+2", "nan"]),
+    st.integers(-3, 12).map(str),
+    st.text(max_size=6),
+)
+LINES = st.lists(TOKENS, max_size=6).map(" ".join)
+TEXTS = st.one_of(st.text(), st.lists(LINES, max_size=12).map("\n".join))
+
+
+class TestHostileText:
+    """Any text parses or raises FormatError; nothing else escapes."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(TEXTS)
+    def test_parse_graph(self, text):
+        try:
+            g = parse_graph(text)
+        except FormatError:
+            return
+        assert parse_graph(emit_graph(g)) == g
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(TEXTS)
+    def test_parse_decomposition(self, text):
+        try:
+            d, _ = parse_decomposition(text)
+        except FormatError:
+            return
+        assert all(len(e) == 2 for e in d.tree_edges)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(TEXTS, st.integers(0, 12))
+    def test_parse_weights(self, text, n):
+        try:
+            w = parse_weights(text, n)
+        except FormatError:
+            return
+        assert len(w) == n and all(isinstance(x, Fraction) for x in w)
 
 
 class TestGenerators:

@@ -17,6 +17,7 @@ from edgesep import (Graph, KtCertificate, Params, RootedInstance, components,
                      validate_decomposition, validate_embedding,
                      validate_partition, width)
 from edgesep import partition as engine
+from edgesep import tree_or_sep
 from edgesep.errors import ParameterError
 from edgesep.generators import complete, cycle, grid, outerplanar, path, random_tree, star
 
@@ -204,6 +205,47 @@ class TestRecursion:
             assert sys.getrecursionlimit() == 1000
         finally:
             sys.setrecursionlimit(limit)
+
+
+class TestOneScanPerSeparator:
+    def test_each_separator_outcome_scans_c_once(self, monkeypatch):
+        # a separator outcome's window runs from its search to the next
+        # search: the edge flavor, its two contract checks, the caller's
+        # minimalization and the split into child calls
+        log = []
+        scan = tree_or_sep.components
+
+        def logged_components(g, within=None, banned_edges=()):
+            if isinstance(g, Graph):
+                log.append(("components", None if within is None else frozenset(within)))
+            return scan(g, within=within, banned_edges=banned_edges)
+
+        induced = tree_or_sep.induced_edge_ids
+        search = engine.edge_tree_or_separator
+
+        def logged_search(g, targets, r, within=None, inner=None):
+            at = len(log)
+            log.append(("search", frozenset(within), None))
+            res = search(g, targets, r, within=within, inner=inner)
+            log[at] = ("search", log[at][1], res.kind)
+            return res
+
+        for module in (tree_or_sep, engine):
+            monkeypatch.setattr(module, "components", logged_components)
+        monkeypatch.setattr(tree_or_sep, "induced_edge_ids",
+                            lambda *a: log.append(("induced_edge_ids", None)) or induced(*a))
+        monkeypatch.setattr(engine, "edge_tree_or_separator", logged_search)
+        partition_line_graph(grid(32, 32), 5)
+
+        starts = [i for i, entry in enumerate(log) if entry[0] == "search"] + [len(log)]
+        scans = []
+        for i, j in zip(starts, starts[1:]):
+            _, c, kind = log[i]
+            if kind == "separator":
+                window = log[i + 1:j]
+                assert ("induced_edge_ids", None) not in window
+                scans.append(sum(entry == ("components", c) for entry in window))
+        assert scans == [1] * 9
 
 
 @st.composite

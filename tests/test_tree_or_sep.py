@@ -12,6 +12,8 @@ from edgesep import (Graph, LineView, components, edge_tree_or_separator,
                      induced_edge_ids, line_graph, minimalize_edge_separator,
                      vertex_tree_or_separator)
 from edgesep import tree_or_sep
+from edgesep.graphs import bfs_layers, shortest_path
+from edgesep.tree_or_sep import Budget
 from edgesep.errors import ParameterError
 from edgesep.generators import grid, path
 from edgesep.oracles import edge_lemma_contract_check
@@ -411,3 +413,152 @@ class TestLineViewSearch:
             mp.setattr(tree_or_sep, "LineView", line_graph)
             want = edge_tree_or_separator(g, targets, r, within=view)
         assert got == want
+
+
+def layered_scheme(g, tsets, r_exact, work):
+    """Reference: ``tree_or_sep._vertex_scheme`` as it was before its h = 2 fast path.
+
+    Every h >= 2 call runs its depth-k BFS, whatever the targets.
+    """
+    h = len(tsets)
+    for t in tsets:
+        if not t:
+            return "separator", None, None, ()
+    if h == 1:
+        return "tree", (min(tsets[0]),), (), None
+    k = r_exact.floor() if h == 2 else -(-r_exact.ceil() // (h - 1))
+    k = max(k, 1)
+    sub_budget = r_exact - (k - 1)
+    layers = bfs_layers(g, tsets[-1], within=work, depth=k)
+    sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
+    j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
+    z_parts = [layers[j_star] if j_star < len(layers) else ()]
+    ball = {v for layer in layers[:j_star] for v in layer}
+    if len(components(g, within=layers[0])) == 1:
+        comps = [ball]
+    else:
+        comps = [frozenset(comp) for comp in components(g, within=ball)]
+    for cset in comps:
+        if any(cset.isdisjoint(t) for t in tsets):
+            continue
+        sub_targets = [t & cset for t in tsets[:-1]]
+        kind, tv, te, sep = layered_scheme(g, sub_targets, sub_budget, cset)
+        if kind == "tree":
+            tree_verts, tree_edges = set(tv), list(te)
+            sources = tsets[-1] & cset
+            if not sources.isdisjoint(tree_verts):
+                return "tree", tuple(sorted(tree_verts)), tuple(tree_edges), None
+            path_ = shortest_path(g, sources, cset, tree_verts)
+            for v, u in zip(path_, path_[1:]):
+                tree_edges.append((u, v) if u < v else (v, u))
+                tree_verts.add(u)
+            return "tree", tuple(sorted(tree_verts)), tuple(sorted(tree_edges)), None
+        z_parts.append(sep)
+    return "separator", None, None, tuple(sorted(set(v for part in z_parts for v in part)))
+
+
+@st.composite
+def scheme_instances(draw):
+    """A Graph or a LineView, a working set, targets and a budget for the scheme.
+
+    Half of the draws (``fast``) have h = 2, a last target that is a prefix
+    of a BFS order inside the working set, hence connected, and a first
+    target whose least vertex lies in it: the h = 2 fast path's case.  The
+    other half draw h in 2..4 and any nonempty targets.
+    """
+    n = draw(st.integers(2, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    host = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                                  max_size=2 * n)))
+    g = draw(st.sampled_from([host, LineView(host)]))
+    work = frozenset(draw(st.lists(st.integers(0, g.n - 1), unique=True, min_size=1)))
+    ids = sorted(work)
+    fast = draw(st.booleans())
+    h = 2 if fast else draw(st.integers(2, 4))
+    tsets = [frozenset(draw(st.lists(st.sampled_from(ids), unique=True, min_size=1,
+                                     max_size=4))) for _ in range(h)]
+    if fast:
+        layers = bfs_layers(g, (draw(st.sampled_from(ids)),), within=work)
+        order = [v for layer in layers for v in layer]
+        last = frozenset(order[:draw(st.integers(1, len(order)))])
+        x = draw(st.sampled_from(sorted(last)))
+        tsets = [frozenset([x] + [v for v in tsets[0] if v > x]), last]
+    return g, tsets, Budget.of(draw(st.sampled_from([1, 2, 3, 5, 8]))), work, fast
+
+
+class TestH2FastPath:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scheme_instances())
+    def test_scheme_matches_the_full_layered_search(self, inst):
+        g, tsets, r, work, fast = inst
+        searches = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree_or_sep, "bfs_layers",
+                       lambda *a, **k: searches.append(1) or bfs_layers(*a, **k))
+            got = tree_or_sep._vertex_scheme(g, tsets, r, work)
+        assert got == layered_scheme(g, tsets, r, work)
+        if fast:
+            # the case was built to take the fast path, and it did
+            assert not searches and got == ("tree", (min(tsets[0]),), (), None)
+
+
+def _c6():
+    """C_6; edge ids 0:(0,1) 1:(0,5) 2:(1,2) 3:(2,3) 4:(3,4) 5:(4,5)."""
+    return Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+class TestLineSeparatorCheck:
+    """The line clause of ``_verify_vertex`` read from G's components."""
+
+    @pytest.mark.parametrize("targets, z", [
+        ([(0,), (3,)], (0,)),           # C_6 less one edge: one path meets both
+        ([(1,), (3,)], (0, 4)),         # the path 1-2-3 meets both
+    ], ids=["one-component", "one-of-two"])
+    def test_a_stubbed_separator_that_leaves_a_meeting_component_raises(
+            self, monkeypatch, targets, z):
+        failed = []
+        check = tree_or_sep._verify_vertex
+
+        def watched(*args):
+            try:
+                check(*args)
+            except AssertionError as exc:
+                failed.append(str(exc))
+                raise
+
+        monkeypatch.setattr(tree_or_sep, "_verify_vertex", watched)
+        monkeypatch.setattr(tree_or_sep, "_vertex_scheme",
+                            lambda *args: ("separator", None, None, z))
+        with pytest.raises(AssertionError, match="a component still meets every target"):
+            edge_tree_or_separator(_c6(), targets, 3)
+        assert failed == ["a component still meets every target"]
+
+    def test_a_stubbed_separator_that_separates_passes(self, monkeypatch):
+        monkeypatch.setattr(tree_or_sep, "_vertex_scheme",
+                            lambda *args: ("separator", None, None, (0, 4)))
+        res = edge_tree_or_separator(_c6(), [(0,), (3,)], 3)
+        assert res.kind == "separator" and res.separator == (0, 4)
+        assert res.fragments == [(0, 4, 5), (1, 2, 3)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(connected_views(), st.data())
+    def test_host_components_give_the_line_components_verdict(self, inst, data):
+        g, _, _, view = inst
+        e_c = frozenset(induced_edge_ids(g, view))
+        ids = sorted(e_c)
+        z = frozenset(data.draw(st.lists(st.sampled_from(ids), unique=True)))
+        line_targets = [frozenset(data.draw(st.lists(st.sampled_from(ids), unique=True,
+                                                     min_size=1, max_size=4)))
+                        for _ in range(data.draw(st.integers(2, 3)))]
+        res = tree_or_sep._vertex_result(len(line_targets), "separator", None, None,
+                                         tuple(sorted(z)))
+        line = LineView(g)
+        verdicts = []
+        for extra in ((), (g, components(g, within=view, banned_edges=z))):
+            try:
+                tree_or_sep._verify_vertex(line, line_targets, Budget.of(1), e_c, res,
+                                           *extra)
+                verdicts.append(True)
+            except AssertionError:
+                verdicts.append(False)
+        assert verdicts[0] == verdicts[1]

@@ -78,11 +78,11 @@ class LineView:
     """The line graph L(G) read off G's incidence lists, never built.
 
     Line vertex i is the edge of G with id i; two line vertices are adjacent
-    when their edges share an endpoint.  ``bfs_layers``, ``components`` and
-    ``shortest_path`` take a LineView in place of a Graph.  They open each
-    G-vertex at most once and take all of its edges in one step, so they
-    cost O(sum of degrees) over what they read, where L(G) itself has
-    sum_v C(deg v, 2) edges.
+    when their edges share an endpoint.  ``bfs_layers`` and ``components``
+    take a LineView in place of a Graph.  They open each G-vertex at most
+    once and take all of its edges in one step, so they cost O(sum of
+    degrees) over what they read, where L(G) itself has sum_v C(deg v, 2)
+    edges.
     """
 
     __slots__ = ("g", "n")
@@ -109,9 +109,12 @@ def max_degree(g: Graph) -> int:
     return max((len(a) for a in g.adj), default=0) if g.n else 0
 
 
+_SETS = (set, frozenset, type({}.keys()))
+
+
 def _as_set(xs: Iterable[int]):
-    """A caller's set or frozenset as it is; any other iterable as a new set."""
-    return xs if isinstance(xs, (set, frozenset)) else set(xs)
+    """A set, frozenset or dict keys view as it is; any other iterable as a new set."""
+    return xs if isinstance(xs, _SETS) else set(xs)
 
 
 def _next_layer(g, layer, inset, seen, opened, banned, out) -> list:
@@ -225,7 +228,8 @@ def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
 
 def bfs_layers(g, sources: Iterable[int],
                within: Optional[Iterable[int]] = None,
-               depth: Optional[int] = None) -> list[VertexSet]:
+               depth: Optional[int] = None,
+               parent: Optional[dict] = None) -> list[VertexSet]:
     """BFS distance layers from ``sources`` inside the induced subgraph.
 
     ``g`` is a Graph or a LineView.  Layer j holds the vertices of
@@ -233,44 +237,24 @@ def bfs_layers(g, sources: Iterable[int],
     omitted.  Layer 0 is the source set itself.  With ``depth`` set, the
     search stops after layer ``depth``: only the adjacency of the earlier
     layers is read.
+
+    The search starts from the sorted sources and expands each layer in the
+    order it found its vertices; an empty dict passed as ``parent`` is filled
+    with its parent map, in that order (None for a source).
     """
     inset = range(g.n) if within is None else _as_set(within)
-    seen = dict.fromkeys(sources)
-    if any(s not in inset for s in seen):
+    layer = sorted(set(sources))
+    if any(s not in inset for s in layer):
         raise ValueError("sources must lie inside the working vertex set")
-    layers = [tuple(sorted(seen))] if seen else []
+    seen = {} if parent is None else parent
+    seen.update(dict.fromkeys(layer))
+    layers = [tuple(layer)] if layer else []
     opened: set[int] = set()
-    while layers and (depth is None or len(layers) <= depth):
-        nxt = _next_layer(g, layers[-1], inset, seen, opened, (), [])
-        if not nxt:
-            break
-        nxt.sort()
-        layers.append(tuple(nxt))
+    while layer and (depth is None or len(layers) <= depth):
+        layer = _next_layer(g, layer, inset, seen, opened, (), [])
+        if layer:
+            layers.append(tuple(sorted(layer)))
     return layers
-
-
-def shortest_path(g, sources: Iterable[int], within, stop) -> list:
-    """A shortest path inside ``within`` from ``sources`` to a vertex of ``stop``.
-
-    ``g`` is a Graph or a LineView.  The BFS starts from the sources in
-    ascending order, and each vertex queues its unvisited neighbours in
-    ascending id, so both kinds of the same line graph find the same path.
-    It is returned from its end in ``stop`` back to its source; it is empty
-    when ``stop`` is out of reach.
-    """
-    layer = sorted(sources)
-    parent = dict.fromkeys(layer)
-    opened: set[int] = set()
-    while layer:
-        v = next((v for v in layer if v in stop), None)
-        if v is not None:
-            path = [v]
-            while parent[v] is not None:
-                v = parent[v]
-                path.append(v)
-            return path
-        layer = _next_layer(g, layer, within, parent, opened, (), [])
-    return []
 
 
 def line_graph(g: Graph) -> Graph:

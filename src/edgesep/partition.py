@@ -187,8 +187,9 @@ class _Piece:
 
     Its least vertex therefore only grows: a sorted list, built on first use,
     and a cursor that moves forward over vertices since removed answer it.
-    Its induced edge set E(C) is likewise built on first use and then shrunk
-    along with the vertices, so a later search never rescans C for it.
+    Its induced edge set E(C) is likewise built on first use, or handed down
+    by a separator split, and then shrunk along with the vertices, so a later
+    search never rescans C for it.
     """
 
     __slots__ = ("verts", "order", "at", "edges")
@@ -397,12 +398,18 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
         x = frozenset(v for other in comps if other & targets[k] for v in other)
         u2 = models[k] | x
         grown[k] = (u2, (nbrs[k] | frozenset(neighborhood(g, x))) - u2)
+    # E(C), built for the search, less F: each edge lies in one piece
+    piece_of = {v: i for i, cset in enumerate(comps) for v in cset}
+    inner: list = [set() for _ in comps]
+    for e in piece.edges - f:
+        inner[piece_of[g.edges[e][0]]].add(e)
     f_slot = out.slot(f)
     children, attach = [], []
-    for cset, k in zip(comps, missing):
+    for cset, k, edges in zip(comps, missing, inner):
         sub_roots = roots[:k] + (f_slot,) + roots[k + 1:]
         u2, nb2 = grown[k]
-        children.append(_Call([_Piece(cset)], sub_roots, models[:k] + (u2,) + models[k + 1:],
+        children.append(_Call([_Piece(cset, edges)], sub_roots,
+                              models[:k] + (u2,) + models[k + 1:],
                               nbrs[:k] + (nb2,) + nbrs[k + 1:], measure))
         attach.append((sub_roots, roots[k]))
     _Join(children, (f_slot,) + roots, attach).launch(stack)

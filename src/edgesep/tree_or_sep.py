@@ -19,6 +19,15 @@ target) returns the tree (v,) before any BFS.  The ball it would search is
 then one component holding v, its h = 1 step picks v, and the extension
 finds v among its sources, so the full search returns that same tree.
 
+Each scheme level runs one layered search, in FIFO order from the sorted
+last target, and joins a found tree to that target along the search's own
+parent map.  For a component ``cset`` of the ball, the search from
+sorted(target & cset) inside ``cset`` alone visits ``cset`` in the same order
+and with the same parents: a vertex expanded before one of ``cset`` lies in a
+layer before j*, so if it is adjacent to ``cset``, or on a LineView shares a
+G-vertex with it, it is in ``cset``.  The path read off the map is thus the
+one a second search inside ``cset`` would find.
+
 A separator outcome of the edge flavor scans C once: the components of
 G[C] - F are computed one time, and the survivor test, both contract checks
 and the caller's ``minimalize_edge_separator`` (through ``fragments``) read
@@ -35,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ParameterError
 from .graphs import (EdgeSet, Graph, LineView, VertexSet, _as_set, bfs_layers,
-                     components, edges_between, induced_edge_ids, shortest_path)
+                     components, edges_between, induced_edge_ids)
 
 class Budget:
     """The exact radius budget sqrt(num/den) - s, for integers num >= 0, den > 0, s.
@@ -182,16 +191,16 @@ def _vertex_scheme(g, tsets, r_exact, work):
     k = max(k, 1)
     sub_budget = r_exact - (k - 1)
 
-    # A connected last target makes the ball below one component holding
-    # it; for h = 2 with v = min(first target) inside that target the search
-    # picks v and extends nothing, so (v,) is its answer (module docstring).
+    # h = 2, a connected last target and v = min(first target) inside it:
+    # the search would pick v and extend nothing (module docstring)
     connected = len(components(g, within=tsets[-1])) == 1
     if h == 2 and connected:
         v = min(tsets[0])
         if v in tsets[-1]:
             return "tree", (v,), (), None
 
-    layers = bfs_layers(g, tsets[-1], within=work, depth=k)
+    parent: dict = {}
+    layers = bfs_layers(g, tsets[-1], within=work, depth=k, parent=parent)
     sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
     j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
 
@@ -199,9 +208,10 @@ def _vertex_scheme(g, tsets, r_exact, work):
     # cross that layer, so it is a component of the ball inside it; the
     # other components miss the last target and would be skipped anyway.
     # Every ball vertex reaches layer 0 inside the ball, so a connected
-    # layer 0 makes the whole ball one component.
+    # layer 0 makes the whole ball one component.  A search that ran out
+    # before layer k reached the ball and nothing else.
     z_parts = [layers[j_star] if j_star < len(layers) else ()]
-    ball = {v for layer in layers[:j_star] for v in layer}
+    ball = parent.keys() if j_star == len(layers) else set().union(*layers[:j_star])
     if connected:
         comps = [ball]
     else:
@@ -212,29 +222,26 @@ def _vertex_scheme(g, tsets, r_exact, work):
         sub_targets = [t & cset for t in tsets[:-1]]
         kind, tv, te, sep = _vertex_scheme(g, sub_targets, sub_budget, cset)
         if kind == "tree":
-            verts, edges = _extend_to(g, cset, tsets[-1], set(tv), list(te))
+            verts, edges = _extend_to(parent, set(tv), list(te))
             return "tree", verts, edges, None
         z_parts.append(sep)
     z = tuple(sorted(set(v for part in z_parts for v in part)))
     return "separator", None, None, z
 
 
-def _extend_to(g, comp, target, tree_verts, tree_edges):
-    """Grow the tree toward ``target`` along a shortest path inside ``comp``.
+def _extend_to(parent, tree_verts, tree_edges):
+    """Join the tree to the last target along the layered search's ``parent`` map.
 
-    Every vertex of ``comp`` sits within the scanned layers of the target, so
-    the path is short; BFS stops at the first vertex already in the tree,
-    which keeps the union acyclic.
+    The first tree vertex the search found and its ancestors form a shortest
+    path from the target (module docstring); no ancestor is in the tree, so
+    the union stays acyclic.
     """
-    sources = target & comp
-    if not sources.isdisjoint(tree_verts):
-        verts = tuple(sorted(tree_verts))
-        return verts, tuple(tree_edges)
-    path = shortest_path(g, sources, comp, tree_verts)
-    assert path, "extension target unreachable inside its component"
-    for v, u in zip(path, path[1:]):
+    v = next(v for v in parent if v in tree_verts)
+    u = parent[v]
+    while u is not None:
         tree_edges.append((u, v) if u < v else (v, u))
         tree_verts.add(u)
+        v, u = u, parent[u]
     return tuple(sorted(tree_verts)), tuple(sorted(tree_edges))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from edgesep import (Graph, LineView, bfs_layers, components, edges_between,
                      induced_edge_ids, line_graph, max_degree, neighborhood,
                      validate_model)
-from edgesep.graphs import shortest_path
+from edgesep.tree_or_sep import _extend_to
 from edgesep.generators import grid, path, star
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -38,7 +38,7 @@ def graphs(draw, max_n=8):
 
 
 def deque_shortest_path(g, sources, within, stop) -> list:
-    """Reference ``shortest_path``: one deque BFS with a branch per graph kind."""
+    """Reference for ``extension``: one deque BFS with a branch per graph kind."""
     sources = sorted(sources)
     parent = dict.fromkeys(sources)
     dq = deque(sources)
@@ -75,6 +75,27 @@ def deque_shortest_path(g, sources, within, stop) -> list:
                 parent[u] = v
                 dq.append(u)
     return []
+
+
+def extension(g, sources, within, stop):
+    """What the tree extension adds to a tree ``stop`` on ``bfs_layers``' parent map.
+
+    ``tree_or_sep._extend_to`` walks the map back from the first vertex of
+    ``stop`` the search found; None when it found none.
+    """
+    parent = {}
+    bfs_layers(g, sources, within=within, parent=parent)
+    if parent.keys().isdisjoint(stop):
+        return None
+    return _extend_to(parent, set(stop), [])
+
+
+def as_extension(path, stop):
+    """A path from a vertex of ``stop`` back to a source, as ``extension`` gives it."""
+    if not path:
+        return None
+    return (tuple(sorted(set(stop).union(path))),
+            tuple(sorted((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))))
 
 
 def scan_edges_between(g, xs, ys) -> tuple:
@@ -323,15 +344,26 @@ class TestLineView:
         assert components(LineView(g), within=within) == components(line_graph(g), within=within)
         assert components(LineView(g)) == components(line_graph(g))
 
-    @SETTINGS
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(line_views(), st.data())
     def test_shortest_paths_match(self, view, data):
+        # at most two sources and a stop set without them, often in the whole
+        # view, so that paths of more than one vertex are the common case;
+        # the whole parent maps, in the order found, agree too
         g, within = view
+        within = data.draw(st.sampled_from([frozenset(range(g.m)), within]))
         ids = sorted(within)
-        sources = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
-        stop = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
-        assert shortest_path(LineView(g), sources, within, stop) == \
-            shortest_path(line_graph(g), sources, within, stop)
+        sources = data.draw(st.lists(st.sampled_from(ids), min_size=1, max_size=2,
+                                     unique=True))
+        stop = set(data.draw(st.lists(st.sampled_from(ids), max_size=3,
+                                      unique=True))).difference(sources)
+        maps = []
+        for kind in (LineView(g), line_graph(g)):
+            maps.append({})
+            bfs_layers(kind, sources, within=within, parent=maps[-1])
+        assert list(maps[0].items()) == list(maps[1].items())
+        assert extension(LineView(g), sources, within, stop) == \
+            extension(line_graph(g), sources, within, stop)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(line_views(), st.data())
@@ -345,22 +377,24 @@ class TestLineView:
                                          max_size=2, unique=True))
             stop = set(data.draw(st.lists(st.sampled_from(ids), max_size=3,
                                           unique=True))).difference(sources)
-            assert shortest_path(kind, sources, inside, stop) == \
-                deque_shortest_path(kind, sources, inside, stop)
+            assert extension(kind, sources, inside, stop) == \
+                as_extension(deque_shortest_path(kind, sources, inside, stop), stop)
 
     def test_shortest_path_queues_both_endpoints_in_ascending_id(self):
         # in K_4, edge 2 = (0,3) reaches edges 0, 1 through vertex 0 and
         # 4, 5 through vertex 3; BFS order 0, 1, 4, 5 meets 1 before 5
         g = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         for view in (LineView(g), line_graph(g)):
-            assert shortest_path(view, [2], frozenset(range(g.m)), {1, 5}) == [1, 2]
+            assert extension(view, [2], frozenset(range(g.m)), {1, 5}) == \
+                ((1, 2, 5), ((1, 2),))
 
     def test_shortest_path_merges_the_endpoint_lists(self):
         # edge 1 = (1,2) reaches edges 1, 2 through vertex 1 and 0, 1 through
         # vertex 2; the merged order meets edge 0 first
         g = Graph(4, [(0, 2), (1, 2), (1, 3)])
         for view in (LineView(g), line_graph(g)):
-            assert shortest_path(view, [1], frozenset(range(g.m)), {0, 2}) == [0, 1]
+            assert extension(view, [1], frozenset(range(g.m)), {0, 2}) == \
+                ((0, 1, 2), ((0, 1),))
 
     def test_a_star_is_searched_without_its_line_graph(self, monkeypatch):
         # L(star(n)) = K_{n-1} has ~n^2/2 edges; each search opens every
@@ -371,5 +405,5 @@ class TestLineView:
         lv = LineView(g)
         assert len(bfs_layers(lv, (0,))) == 2
         assert len(components(lv)) == 1
-        assert len(shortest_path(lv, (0,), frozenset(range(g.m)), {g.m - 1})) == 2
+        assert extension(lv, (0,), frozenset(range(g.m)), {g.m - 1})[1] == ((0, g.m - 1),)
         assert adj_eids.reads <= 3 * g.n

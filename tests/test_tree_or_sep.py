@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from edgesep import (Graph, LineView, components, edge_tree_or_separator,
                      induced_edge_ids, line_graph, minimalize_edge_separator,
                      vertex_tree_or_separator)
-from edgesep import tree_or_sep
-from edgesep.graphs import bfs_layers, shortest_path
+from edgesep import graphs, tree_or_sep
+from edgesep.graphs import _next_layer, bfs_layers
 from edgesep.tree_or_sep import Budget
 from edgesep.errors import ParameterError
 from edgesep.generators import grid, path
+from edgesep.partition import partition_line_graph
 from edgesep.oracles import edge_lemma_contract_check
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -415,10 +416,35 @@ class TestLineViewSearch:
         assert got == want
 
 
+def shortest_path(g, sources, within, stop) -> list:
+    """Reference for the tree extension: a second BFS inside the ball component.
+
+    ``g`` is a Graph or a LineView.  The BFS starts from the sources in
+    ascending order, and each vertex queues its unvisited neighbours in
+    ascending id.  The path is returned from its end in ``stop`` back to its
+    source; it is empty when ``stop`` is out of reach.
+    """
+    layer = sorted(sources)
+    parent = dict.fromkeys(layer)
+    opened = set()
+    while layer:
+        v = next((v for v in layer if v in stop), None)
+        if v is not None:
+            path = [v]
+            while parent[v] is not None:
+                v = parent[v]
+                path.append(v)
+            return path
+        layer = _next_layer(g, layer, within, parent, opened, (), [])
+    return []
+
+
 def layered_scheme(g, tsets, r_exact, work):
     """Reference: ``tree_or_sep._vertex_scheme`` as it was before its h = 2 fast path.
 
-    Every h >= 2 call runs its depth-k BFS, whatever the targets.
+    Every h >= 2 call runs its depth-k BFS, whatever the targets, and a
+    found tree is joined to the last target by a second search,
+    ``shortest_path`` inside the tree's ball component.
     """
     h = len(tsets)
     for t in tsets:
@@ -457,49 +483,113 @@ def layered_scheme(g, tsets, r_exact, work):
     return "separator", None, None, tuple(sorted(set(v for part in z_parts for v in part)))
 
 
+def _ladder(draw, n):
+    """A 2 x (n // 2) ladder on drawn labels, its corner ends and its end rungs.
+
+    Walking from one corner, every vertex off the first rail has two
+    parents in the layer before it.  The far corner lies n // 2 >= 2 steps
+    away, and the end rungs lie as many line steps apart.
+    """
+    order = draw(st.permutations(range(n)))
+    rails = [order[:n // 2], order[n // 2:2 * (n // 2)]]
+    pairs = [(x, y) for rail in rails for x, y in zip(rail, rail[1:])]
+    pairs += list(zip(*rails))
+    if n % 2:                   # an odd vertex hangs off the first corner
+        pairs.append((order[-1], rails[0][0]))
+    g = Graph(n, pairs)
+    rungs = (g.edge_id(rails[0][0], rails[1][0]), g.edge_id(rails[0][-1], rails[1][-1]))
+    return g, (rails[0][0], rails[1][-1]), rungs
+
+
 @st.composite
 def scheme_instances(draw):
     """A Graph or a LineView, a working set, targets and a budget for the scheme.
 
-    Half of the draws (``fast``) have h = 2, a last target that is a prefix
-    of a BFS order inside the working set, hence connected, and a first
-    target whose least vertex lies in it: the h = 2 fast path's case.  The
-    other half draw h in 2..4 and any nonempty targets.
+    Each draw is one of five cases:
+
+    - ``fast``: h = 2, a last target that is a prefix of a BFS order inside
+      the working set, hence connected, and a first target whose least
+      vertex lies in it; the h = 2 fast path's case.
+    - ``any``: h in 2..4 and any nonempty targets.
+    - ``long``: a ladder (``_ladder``), its two far ends as the first and
+      last targets (h = 3 adds a middle target) and a budget past its
+      size, so the tree joins the ends and the extension is long.
+    - ``split``: two disjoint paths with chords and a last target in both,
+      so the last target is disconnected and the ball splits; budgets up to
+      n let the balls grow and the extensions lengthen.
+    - ``short``: any targets and a budget whose k exceeds the view's size,
+      so every layered search runs out before depth k.
     """
-    n = draw(st.integers(2, 12))
+    case = draw(st.sampled_from(["fast", "any", "long", "split", "short"]))
+    n = draw(st.integers(4 if case in ("long", "split") else 2, 12))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    host = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
-                                  max_size=2 * n)))
+    if case == "long":
+        host, ends, rungs = _ladder(draw, n)
+    elif case == "split":
+        # a path on 0..cut-1 and one on cut..n-1, with chords inside each
+        cut = draw(st.integers(2, n - 2))
+        chords = [(i, j) for i, j in pairs if (i < cut) == (j < cut) and j - i > 1]
+        if chords:
+            chords = draw(st.lists(st.sampled_from(chords), unique=True, max_size=n))
+        host = Graph(n, [(i, i + 1) for i in range(n - 1) if i + 1 != cut] + chords)
+    else:
+        host = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                                      max_size=2 * n)))
     g = draw(st.sampled_from([host, LineView(host)]))
-    work = frozenset(draw(st.lists(st.integers(0, g.n - 1), unique=True, min_size=1)))
+    work = frozenset(range(g.n))
+    if case not in ("long", "split"):
+        work = frozenset(draw(st.lists(st.integers(0, g.n - 1), unique=True, min_size=1)))
     ids = sorted(work)
-    fast = draw(st.booleans())
-    h = 2 if fast else draw(st.integers(2, 4))
+    h = 2 if case == "fast" else draw(st.integers(2, 3 if case == "long" else 4))
     tsets = [frozenset(draw(st.lists(st.sampled_from(ids), unique=True, min_size=1,
                                      max_size=4))) for _ in range(h)]
-    if fast:
+    r = Budget.of(draw(st.sampled_from([1, 2, 3, 5, 8])))
+    if case == "fast":
         layers = bfs_layers(g, (draw(st.sampled_from(ids)),), within=work)
         order = [v for layer in layers for v in layer]
         last = frozenset(order[:draw(st.integers(1, len(order)))])
         x = draw(st.sampled_from(sorted(last)))
         tsets = [frozenset([x] + [v for v in tsets[0] if v > x]), last]
-    return g, tsets, Budget.of(draw(st.sampled_from([1, 2, 3, 5, 8]))), work, fast
+    elif case == "long":
+        last, first = ends if g is host else rungs
+        tsets = [frozenset((first,))] + tsets[1:-1] + [frozenset((last,))]
+        r = Budget.of((h - 1) * g.n)
+    elif case == "split":
+        line = isinstance(g, LineView)
+        sides = [[v for v in ids if (host.edges[v][0] if line else v) < cut],
+                 [v for v in ids if (host.edges[v][0] if line else v) >= cut]]
+        tsets[-1] = frozenset(draw(st.sampled_from(side)) for side in sides)
+        r = Budget.of((h - 1) * draw(st.integers(1, n)))
+    elif case == "short":
+        r = Budget.of((h - 1) * (g.n + 1))
+    return g, tsets, r, work, case
 
 
 class TestH2FastPath:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=500, deadline=None, derandomize=True)
     @given(scheme_instances())
     def test_scheme_matches_the_full_layered_search(self, inst):
-        g, tsets, r, work, fast = inst
+        g, tsets, r, work, case = inst
         searches = []
+
+        def counted(*a, **k):
+            layers = bfs_layers(*a, **k)
+            searches.append(len(layers) <= k["depth"])
+            return layers
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tree_or_sep, "bfs_layers",
-                       lambda *a, **k: searches.append(1) or bfs_layers(*a, **k))
+            mp.setattr(tree_or_sep, "bfs_layers", counted)
             got = tree_or_sep._vertex_scheme(g, tsets, r, work)
         assert got == layered_scheme(g, tsets, r, work)
-        if fast:
+        if case == "fast":
             # the case was built to take the fast path, and it did
             assert not searches and got == ("tree", (min(tsets[0]),), (), None)
+        elif case == "long":
+            assert got[0] == "tree" and len(got[2]) == len(got[1]) - 1 >= 2
+        elif case == "split":
+            assert len(components(g, within=tsets[-1])) == 2
+        elif case == "short":
+            assert all(searches)        # each search ran out
 
 
 def _c6():
@@ -562,3 +652,55 @@ class TestLineSeparatorCheck:
             except AssertionError:
                 verdicts.append(False)
         assert verdicts[0] == verdicts[1]
+
+
+class TestOneSearchPerLevel:
+    """Each scheme level searches once; the tree extension reads its parent map."""
+
+    def test_grid_32_search_counts(self, monkeypatch):
+        # t = 5; each level's searches are recorded in the order made: the
+        # last-target test, the layered search, a split ball's components
+        levels = []         # per scheme level with h >= 2: the searches it made
+        stack = []
+        strays = []
+        scheme, bfs, comps = (tree_or_sep._vertex_scheme, tree_or_sep.bfs_layers,
+                              tree_or_sep.components)
+        step = graphs._next_layer
+
+        def level(g, tsets, r, work):
+            stack.append((tsets, []))
+            try:
+                return scheme(g, tsets, r, work)
+            finally:
+                tsets, made = stack.pop()
+                if len(tsets) >= 2:
+                    levels.append(tuple(made))
+
+        def searched(*a, **k):
+            stack[-1][1].append("bfs_layers")
+            return bfs(*a, **k)
+
+        def connected(g, within=None, banned_edges=()):
+            if sys._getframe(1).f_code.co_name == "_vertex_scheme":
+                stack[-1][1].append("target" if within is stack[-1][0][-1] else "ball")
+            return comps(g, within=within, banned_edges=banned_edges)
+
+        def one_step(*args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_name == "_extend_to":
+                    strays.append(sys._getframe(1).f_code.co_name)
+                frame = frame.f_back
+            return step(*args)
+
+        monkeypatch.setattr(tree_or_sep, "_vertex_scheme", level)
+        monkeypatch.setattr(tree_or_sep, "bfs_layers", searched)
+        monkeypatch.setattr(tree_or_sep, "components", connected)
+        monkeypatch.setattr(graphs, "_next_layer", one_step)
+        res = partition_line_graph(grid(32, 32), 5)
+        assert len(res.partition.parts) == 102
+        assert not strays, "the tree extension ran a search"
+        # 112 levels test the last target and search once; 32 take the
+        # h = 2 fast path after the test; no ball splits on the grid
+        assert {shape: levels.count(shape) for shape in set(levels)} == \
+            {("target", "bfs_layers"): 112, ("target",): 32}

@@ -20,7 +20,7 @@ EdgeSet = tuple
 class Graph:
     """Simple undirected graph, immutable after construction."""
 
-    __slots__ = ("n", "edges", "adj", "adj_eids", "_index")
+    __slots__ = ("n", "edges", "adj", "adj_eids")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -38,15 +38,16 @@ class Graph:
                 raise ValueError(f"duplicate edge {canon[i]}")
         self.n = n
         self.edges = tuple(canon)
-        adj = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        for lst in adj:
-            lst.sort()
-        self.adj = tuple(tuple(x for x, _ in lst) for lst in adj)
-        self.adj_eids = tuple(tuple(e for _, e in lst) for lst in adj)
-        self._index = {e: i for i, e in enumerate(self.edges)}
+        # edges (u, x) with u < x sort before edges (x, v): each list fills ascending
+        adj: list = [[] for _ in range(n)]
+        adj_eids: list = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(canon):
+            adj[u].append(v)
+            adj_eids[u].append(eid)
+            adj[v].append(u)
+            adj_eids[v].append(eid)
+        self.adj = tuple(map(tuple, adj))
+        self.adj_eids = tuple(map(tuple, adj_eids))
 
     @property
     def m(self) -> int:
@@ -56,10 +57,19 @@ class Graph:
         return len(self.adj[v])
 
     def edge_id(self, u: int, v: int) -> int:
-        return self._index[(u, v) if u < v else (v, u)]
+        """Id of the edge uv, by bisection in the ascending ``adj[u]``."""
+        from bisect import bisect_left      # only tests and checks look edges up
+        row = self.adj[u] if 0 <= u < self.n else ()
+        i = bisect_left(row, v)
+        if i == len(row) or row[i] != v:
+            raise KeyError((u, v) if u < v else (v, u))
+        return self.adj_eids[u][i]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._index
+        try:
+            return self.edge_id(u, v) >= 0
+        except KeyError:
+            return False
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
@@ -229,7 +239,8 @@ def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
 def bfs_layers(g, sources: Iterable[int],
                within: Optional[Iterable[int]] = None,
                depth: Optional[int] = None,
-               parent: Optional[dict] = None) -> list[VertexSet]:
+               parent: Optional[dict] = None,
+               found_order: bool = False) -> list:
     """BFS distance layers from ``sources`` inside the induced subgraph.
 
     ``g`` is a Graph or a LineView.  Layer j holds the vertices of
@@ -240,7 +251,9 @@ def bfs_layers(g, sources: Iterable[int],
 
     The search starts from the sorted sources and expands each layer in the
     order it found its vertices; an empty dict passed as ``parent`` is filled
-    with its parent map, in that order (None for a source).
+    with its parent map, in that order (None for a source).  Each layer is
+    returned as a sorted tuple or, with ``found_order``, as the list the
+    search filled, unsorted.
     """
     inset = range(g.n) if within is None else _as_set(within)
     layer = sorted(set(sources))
@@ -248,13 +261,13 @@ def bfs_layers(g, sources: Iterable[int],
         raise ValueError("sources must lie inside the working vertex set")
     seen = {} if parent is None else parent
     seen.update(dict.fromkeys(layer))
-    layers = [tuple(layer)] if layer else []
+    layers = [layer] if layer else []
     opened: set[int] = set()
     while layer and (depth is None or len(layers) <= depth):
         layer = _next_layer(g, layer, inset, seen, opened, (), [])
         if layer:
-            layers.append(tuple(sorted(layer)))
-    return layers
+            layers.append(layer)
+    return layers if found_order else [tuple(sorted(layer)) for layer in layers]
 
 
 def line_graph(g: Graph) -> Graph:

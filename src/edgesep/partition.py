@@ -23,7 +23,8 @@ from typing import NamedTuple, Optional, Union
 from .errors import ParameterError
 from .graphs import (Graph, VertexSet, components, edges_between,
                      induced_edge_ids, max_degree, neighborhood, validate_model)
-from .tree_or_sep import Budget, edge_tree_or_separator, minimalize_edge_separator
+from .tree_or_sep import (Budget, _one_target_tree, edge_tree_or_separator,
+                          minimalize_edge_separator)
 from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
                          product_blowup, validate_decomposition, width)
 
@@ -297,27 +298,34 @@ class _Call(NamedTuple):
     parent_measure: Optional[int]
 
 
+class _Attach(NamedTuple):
+    """Hang the part of ``slot`` off the node below, adjacent to the ``roots`` parts."""
+
+    roots: tuple
+    slot: int
+
+    def resume(self, out, node, stack):
+        return out.attach(node, self.roots, self.slot)
+
+
 class _Join:
     """Child calls run in order; their nodes glue along the parts of ``shared``.
 
-    ``attach[j]``, when given, is a (root slots, slot) pair: the slot's part
-    is hung off child j's node before that node is glued.
+    Each child is a tuple of stack items, pushed in order with its call
+    last, so an ``_Attach`` before the call acts on the call's node before
+    that node is glued.
     """
 
-    def __init__(self, children: list, shared: tuple = (), attach=None):
-        self.todo = list(zip(children, attach or [None] * len(children)))[::-1]
+    def __init__(self, children: list, shared: tuple):
+        self.todo = children[::-1]
         self.shared = shared
-        self.attach = None
         self.acc = None
 
     def launch(self, stack) -> None:
-        call, self.attach = self.todo.pop()
         stack.append(self)
-        stack.append(call)
+        stack += self.todo.pop()
 
     def resume(self, out, node, stack):
-        if self.attach is not None:
-            node = out.attach(node, *self.attach)
         self.acc = node if self.acc is None else out.glue(self.acc, node, self.shared)
         if not self.todo:
             return self.acc
@@ -339,7 +347,7 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
         return KtCertificate(tuple(tuple(sorted(u)) for u in models[:t]), t)
 
     if len(pieces) > 1:
-        _Join([_Call([p], roots, models, nbrs, measure) for p in pieces],
+        _Join([(_Call([p], roots, models, nbrs, measure),) for p in pieces],
               roots).launch(stack)
         return None
 
@@ -348,13 +356,16 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     targets = [c & nb for nb in nbrs]       # A_i = V(C) ∩ N(U_i)
     empties = [i for i, a in enumerate(targets) if not a]
     assert len(empties) < h, "a proper C inside a connected component neighbors some U_i"
-    if empties:
-        k = empties[0]
-        sub_roots = roots[:k] + roots[k + 1:]
-        _Join([_Call(pieces, sub_roots, models[:k] + models[k + 1:],
-                     nbrs[:k] + nbrs[k + 1:], measure)],
-              attach=[(sub_roots, roots[k])]).launch(stack)
-        return None
+    # drop each root with an empty target, the first one left each time; the
+    # stack attaches its part back to the node the call ends in, last first
+    for dropped, i in enumerate(empties):
+        k = i - dropped
+        slot = roots[k]
+        roots, models, nbrs, targets = (x[:k] + x[k + 1:]
+                                        for x in (roots, models, nbrs, targets))
+        stack.append(_Attach(roots, slot))
+    h -= len(empties)
+    measure -= len(empties)
 
     # C connected and every A_i nonempty: (U_1..U_h, V(C)) is a K_{h+1}-model
     if h >= t - 1:
@@ -364,9 +375,11 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     if len(c) == 1:
         return out.complete(roots)
 
-    # C is connected with |C| > 1, so no vertex of it is isolated in E(C)
-    tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c,
-                                 inner=piece.inner_edges(g) if h >= 2 else None)
+    if h == 1:
+        tos = _one_target_tree(g, targets, c)
+    else:   # C is connected with |C| > 1, so no vertex of it is isolated in E(C)
+        tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c,
+                                     inner=piece.inner_edges(g))
 
     if tos.is_tree():
         tv = frozenset(tos.tree_vertices)
@@ -404,15 +417,15 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     for e in piece.edges - f:
         inner[piece_of[g.edges[e][0]]].add(e)
     f_slot = out.slot(f)
-    children, attach = [], []
+    children = []
     for cset, k, edges in zip(comps, missing, inner):
         sub_roots = roots[:k] + (f_slot,) + roots[k + 1:]
         u2, nb2 = grown[k]
-        children.append(_Call([_Piece(cset, edges)], sub_roots,
-                              models[:k] + (u2,) + models[k + 1:],
-                              nbrs[:k] + (nb2,) + nbrs[k + 1:], measure))
-        attach.append((sub_roots, roots[k]))
-    _Join(children, (f_slot,) + roots, attach).launch(stack)
+        children.append((_Attach(sub_roots, roots[k]),
+                         _Call([_Piece(cset, edges)], sub_roots,
+                               models[:k] + (u2,) + models[k + 1:],
+                               nbrs[:k] + (nb2,) + nbrs[k + 1:], measure)))
+    _Join(children, (f_slot,) + roots).launch(stack)
     return None
 
 
@@ -559,10 +572,7 @@ def validate_partition(g: Graph, p: RootedPartition, params: Params,
     if seen != uni:
         return False, "coverage: parts do not cover the edge universe"
 
-    part_of = {}
-    for i, part in enumerate(p.parts):
-        for e in part:
-            part_of[e] = i
+    part_of = {e: i for i, part in enumerate(p.parts) for e in part}
     h_set = set()
     for a, b in p.h_edges:
         if a == b or not (0 <= a < len(p.parts) and 0 <= b < len(p.parts)):
@@ -602,10 +612,7 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
     """Embedding realizes L(G) inside H boxtimes K_{floor(p)}."""
     if len(embedding) != g.m:
         return False, "embedding: one entry per edge required"
-    part_of = {}
-    for i, part in enumerate(p.parts):
-        for e in part:
-            part_of[e] = i
+    part_of = {e: i for i, part in enumerate(p.parts) for e in part}
     p_floor = params.p_floor()
     used = set()
     for eid, entry in enumerate(embedding):

@@ -39,8 +39,7 @@ G[C] - Z with two or more vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParameterError
 from .graphs import (EdgeSet, Graph, LineView, VertexSet, _as_set, bfs_layers,
@@ -109,34 +108,41 @@ class Budget:
         return f"Budget(sqrt({self.num}/{self.den}) - {self.s})"
 
 
-def guarantee_factor(h: int) -> int:
-    """Separator-size guarantee factor of the layered scheme for h targets."""
-    return 1 if h <= 1 else h
-
-
-@dataclass(frozen=True)
-class TreeOrSeparator:
+class TreeOrSeparator(NamedTuple):
     """Either/or result; exactly one of the two outcomes is populated.
 
     ``flavor`` says whether the separator field holds vertex ids ("vertex")
     or edge ids ("edge"); tree edges are vertex pairs for the vertex flavor
-    and edge ids for the edge flavor.
+    and edge ids for the edge flavor.  A named tuple: immutable, and cheap
+    to build once per recursion step.
     """
 
     flavor: str                      # "vertex" | "edge"
     kind: str                        # "tree" | "separator"
     h: int
-    c_sep: int                       # promised guarantee factor for this call
+    c_sep: int                       # promised guarantee factor: h, or 1 at h = 1
     achieved: int                    # measured size of the returned object
     tree_vertices: Optional[VertexSet] = None
     tree_edges: Optional[tuple] = None
     separator: Optional[tuple] = None
     # the components of the view minus an edge separator, as its check found
     # them; the caller's minimalization starts from them
-    fragments: Optional[list] = field(default=None, compare=False, repr=False)
+    fragments: Optional[list] = None
 
     def is_tree(self) -> bool:
         return self.kind == "tree"
+
+
+def _checked(g, targets, within):
+    """The working set and the targets as frozensets, each target inside it."""
+    work = _as_set(range(g.n) if within is None else within)
+    tsets = [frozenset(t) for t in targets]
+    if not tsets:
+        raise ParameterError("at least one target set is required")
+    for i, t in enumerate(tsets):
+        if not t <= work:
+            raise ParameterError(f"target {i} leaves the working vertex set")
+    return work, tsets
 
 
 def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
@@ -145,14 +151,8 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
 
     ``g`` is a Graph or a LineView.
     """
-    work = _as_set(range(g.n) if within is None else within)
-    tsets = [frozenset(t) for t in targets]
+    work, tsets = _checked(g, targets, within)
     h = len(tsets)
-    if h == 0:
-        raise ParameterError("at least one target set is required")
-    for i, t in enumerate(tsets):
-        if not t <= work:
-            raise ParameterError(f"target {i} leaves the working vertex set")
     r_exact = Budget.of(r)
     if h > 1 and r_exact < 1:
         raise ParameterError("radius budget r must be >= 1")
@@ -162,12 +162,8 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
 
 
 def _vertex_result(h, kind, tv, te, sep) -> TreeOrSeparator:
-    return TreeOrSeparator(
-        flavor="vertex", kind=kind, h=h,
-        c_sep=guarantee_factor(h),
-        achieved=len(tv) if kind == "tree" else len(sep),
-        tree_vertices=tv, tree_edges=te, separator=sep,
-    )
+    return TreeOrSeparator("vertex", kind, h, max(h, 1),
+                           len(tv) if kind == "tree" else len(sep), tv, te, sep)
 
 
 def _vertex_scheme(g, tsets, r_exact, work):
@@ -200,7 +196,8 @@ def _vertex_scheme(g, tsets, r_exact, work):
             return "tree", (v,), (), None
 
     parent: dict = {}
-    layers = bfs_layers(g, tsets[-1], within=work, depth=k, parent=parent)
+    layers = bfs_layers(g, tsets[-1], within=work, depth=k, parent=parent,
+                        found_order=True)
     sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
     j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
 
@@ -319,22 +316,15 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     A caller that already holds E(C) for a view without isolated vertices
     passes it as ``inner``; it is trusted, and read as is.
     """
-    work = _as_set(range(g.n) if within is None else within)
-    tsets = [frozenset(t) for t in targets]
+    work, tsets = _checked(g, targets, within)
     h = len(tsets)
-    if h == 0:
-        raise ParameterError("at least one target set is required")
-    for i, t in enumerate(tsets):
-        if not t <= work:
-            raise ParameterError(f"target {i} leaves the working vertex set")
 
     if h == 1:
         # tiny budgets make the reduction illegal; a single target vertex is
         # already a zero-edge tree
-        if not tsets[0]:
-            return _finish_edge(g, tsets, Budget.of(r), work, "separator", None, None, ())
-        v = min(tsets[0])
-        return _finish_edge(g, tsets, Budget.of(r), work, "tree", (v,), (), None)
+        if tsets[0]:
+            return _one_target_tree(g, tsets, work)
+        return _finish_edge(g, tsets, Budget.of(r), work, "separator", None, None, ())
 
     r_exact = Budget.of(r)
     if r_exact < 1:
@@ -365,14 +355,23 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     comps = components(g, within=work, banned_edges=f)
     _verify_vertex(line, line_targets, r_exact, eid_set, sub, g, comps)
     for comp in comps:
-        cset = set(comp)
-        if all(cset & t for t in tsets):
+        if not any(t.isdisjoint(comp) for t in tsets):
             # such a component has no surviving incident target edge, hence
             # is a single vertex common to every target
             assert len(comp) == 1, "multi-vertex component survived the line separator"
             return _finish_edge(g, tsets, r_exact, work, "tree", (comp[0],), (), None)
     return _finish_edge(g, tsets, r_exact, work, "separator", None, None, f,
                         comps, eid_set)
+
+
+def _one_target_tree(g: Graph, targets, work) -> TreeOrSeparator:
+    """The tree (min(A_1),) for one nonempty target inside ``work``, re-checked.
+
+    Both are read as they are; no budget binds a zero-edge tree.
+    """
+    res = TreeOrSeparator("edge", "tree", 1, 1, 0, (min(targets[0]),), ())
+    _verify_edge(g, targets, None, work, res)
+    return res
 
 
 def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
@@ -389,12 +388,9 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
 
 def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep,
                  comps=None, inner=()) -> TreeOrSeparator:
-    res = TreeOrSeparator(
-        flavor="edge", kind=kind, h=len(tsets),
-        c_sep=guarantee_factor(len(tsets)),
-        achieved=len(te) if kind == "tree" else len(sep),
-        tree_vertices=tv, tree_edges=te, separator=sep, fragments=comps,
-    )
+    h = len(tsets)
+    res = TreeOrSeparator("edge", kind, h, max(h, 1), len(te) if kind == "tree" else len(sep),
+                          tv, te, sep, comps)
     _verify_edge(g, tsets, r_exact, work, res, comps, inner)
     return res
 
@@ -501,9 +497,5 @@ def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
 
 
 def _hits(comp, tsets) -> int:
-    mask = 0
-    cset = set(comp)
-    for i, t in enumerate(tsets):
-        if cset & t:
-            mask |= 1 << i
-    return mask
+    """Bit mask of the targets that ``comp`` meets."""
+    return sum(1 << i for i, t in enumerate(tsets) if not t.isdisjoint(comp))

@@ -9,7 +9,7 @@ attaches at nodes it holds, so each step appends a node instead of copying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, LineView, VertexSet
 
@@ -227,12 +227,3 @@ def product_blowup(d: TreeDecomposition,
     return TreeDecomposition(bags=tuple(bags), tree_edges=d.tree_edges,
                              designated=d.designated, root_clique=None)
 
-
-def relabel(d: TreeDecomposition, mapping: Mapping[int, int]) -> TreeDecomposition:
-    """Rewrite bag contents through ``mapping`` (tree shape unchanged)."""
-    bags = tuple(tuple(sorted(mapping[v] for v in bag)) for bag in d.bags)
-    rc = None
-    if d.root_clique is not None:
-        rc = tuple(sorted(mapping[v] for v in d.root_clique))
-    return TreeDecomposition(bags=bags, tree_edges=d.tree_edges,
-                             designated=d.designated, root_clique=rc)

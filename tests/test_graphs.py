@@ -111,6 +111,19 @@ class TestConstruction:
         assert g.edges == ((0, 1), (0, 2), (2, 3))
         assert g.edge_id(2, 0) == 1
 
+    def test_edge_lookup(self):
+        g = Graph(5, [(3, 2), (1, 0), (0, 2), (4, 0)])
+        assert [g.edge_id(u, v) for u, v in g.edges] == list(range(g.m))
+        assert g.has_edge(2, 0) and g.has_edge(0, 4)
+        assert not any(g.has_edge(u, v) for u, v in [(1, 2), (3, 4), (0, 0), (-1, 0), (5, 0)])
+        with pytest.raises(KeyError):
+            g.edge_id(1, 3)
+
+    def test_adjacency_lists_ascend(self):
+        g = Graph(5, [(3, 2), (1, 0), (0, 2), (4, 0), (2, 4)])
+        assert g.adj == ((1, 2, 4), (0,), (0, 3, 4), (2,), (0, 2))
+        assert g.adj_eids == ((0, 1, 2), (0,), (1, 3, 4), (3,), (2, 4))
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(3, [(1, 1)])
@@ -226,6 +239,13 @@ class TestBfsLayers:
         assert bfs_layers(path(5), (0,), depth=2) == [(0,), (1,), (2,)]
         assert bfs_layers(path(5), (0,), depth=0) == [(0,)]
         assert bfs_layers(path(3), (0,), depth=7) == [(0,), (1,), (2,)]
+
+    def test_found_order_layers_are_the_sorted_layers_unsorted(self):
+        g = grid(5, 5)
+        for sources in [(12,), (0, 24), (3, 7, 11)]:
+            found = bfs_layers(g, sources, found_order=True)
+            assert [tuple(sorted(layer)) for layer in found] == bfs_layers(g, sources)
+            assert all(isinstance(layer, list) for layer in found)
 
 
 class TestCallerSets:

@@ -192,6 +192,43 @@ class TestRecursion:
             partition_line_graph(g, 5)
         assert checks == {"edge": edge, "vertex": vertex}
 
+    @pytest.mark.parametrize("g, steps", [
+        (path(500), 499),
+        (random_tree(500, 500), 625),
+        (grid(20, 20), 56),
+    ], ids=["path-500", "tree-500", "grid-20"])
+    def test_one_step_per_peeled_vertex(self, monkeypatch, g, steps):
+        # a root whose target is empty is dropped inside the step that finds
+        # it, so a path or tree peels one vertex per step
+        calls = []
+        enter = engine._enter
+        monkeypatch.setattr(engine, "_enter", lambda *a: calls.append(1) or enter(*a))
+        partition_line_graph(g, 5)
+        assert len(calls) == steps
+
+    def test_grid_20_has_steps_that_drop_several_roots(self, monkeypatch):
+        # the pinned grid-20 digests then cover drops of two or more roots,
+        # whose attaches must run last dropped first
+        drops = []
+        enter = engine._enter
+
+        def counted(g, params, out, call, stack):
+            if len(call.pieces) == 1:
+                c = call.pieces[0].verts
+                empty = sum(1 for nb in call.nbrs if c.isdisjoint(nb))
+                before = len(stack)
+                node = enter(g, params, out, call, stack)
+                attached = sum(isinstance(x, engine._Attach) for x in stack[before:])
+                drops.append((empty, attached))
+                return node
+            return enter(g, params, out, call, stack)
+
+        monkeypatch.setattr(engine, "_enter", counted)
+        partition_line_graph(grid(20, 20), 5)
+        multi = [(e, a) for e, a in drops if e >= 2]
+        assert len(multi) == 11
+        assert all(a >= e for e, a in multi)
+
     def test_deep_path_runs_within_a_small_recursion_limit(self):
         limit = sys.getrecursionlimit()
         try:

@@ -27,6 +27,12 @@ class TestVertexFlavor:
         res = vertex_tree_or_separator(grid(3, 3), [(4, 7)], 1)
         assert res.is_tree() and res.tree_vertices == (4,)
 
+    def test_results_refuse_attribute_assignment(self):
+        res = vertex_tree_or_separator(grid(3, 3), [(4, 7)], 1)
+        with pytest.raises(AttributeError):
+            res.kind = "separator"
+        assert res.kind == "tree"
+
     def test_p5_generous_budget_finds_the_path(self):
         res = vertex_tree_or_separator(path(5), [(0,), (4,)], 5)
         assert res.is_tree()

@@ -239,21 +239,24 @@ def induced_edge_ids(g: Graph, within: Iterable[int]) -> EdgeSet:
 def bfs_layers(g, sources: Iterable[int],
                within: Optional[Iterable[int]] = None,
                depth: Optional[int] = None,
-               parent: Optional[dict] = None,
-               found_order: bool = False) -> list:
+               parent: Optional[dict] = None) -> list[VertexSet]:
     """BFS distance layers from ``sources`` inside the induced subgraph.
 
     ``g`` is a Graph or a LineView.  Layer j holds the vertices of
-    ``within`` at induced distance exactly j; unreachable vertices are
-    omitted.  Layer 0 is the source set itself.  With ``depth`` set, the
-    search stops after layer ``depth``: only the adjacency of the earlier
-    layers is read.
+    ``within`` at induced distance exactly j, as a sorted tuple; unreachable
+    vertices are omitted.  Layer 0 is the source set itself.  With ``depth``
+    set, the search stops after layer ``depth``: only the adjacency of the
+    earlier layers is read.  ``parent`` is read as ``_found_layers`` reads it.
+    """
+    return [tuple(sorted(layer)) for layer in _found_layers(g, sources, within, depth, parent)]
+
+
+def _found_layers(g, sources, within=None, depth=None, parent=None) -> list[list]:
+    """The layers of ``bfs_layers``, each the list the search filled, unsorted.
 
     The search starts from the sorted sources and expands each layer in the
     order it found its vertices; an empty dict passed as ``parent`` is filled
-    with its parent map, in that order (None for a source).  Each layer is
-    returned as a sorted tuple or, with ``found_order``, as the list the
-    search filled, unsorted.
+    with its parent map, in that order (None for a source).
     """
     inset = range(g.n) if within is None else _as_set(within)
     layer = sorted(set(sources))
@@ -267,7 +270,7 @@ def bfs_layers(g, sources: Iterable[int],
         layer = _next_layer(g, layer, inset, seen, opened, (), [])
         if layer:
             layers.append(layer)
-    return layers if found_order else [tuple(sorted(layer)) for layer in layers]
+    return layers
 
 
 def line_graph(g: Graph) -> Graph:

@@ -572,7 +572,10 @@ def validate_partition(g: Graph, p: RootedPartition, params: Params,
     if seen != uni:
         return False, "coverage: parts do not cover the edge universe"
 
-    part_of = {e: i for i, part in enumerate(p.parts) for e in part}
+    part_of = {}
+    for i, part in enumerate(p.parts):
+        for e in part:
+            part_of[e] = i
     h_set = set()
     for a, b in p.h_edges:
         if a == b or not (0 <= a < len(p.parts) and 0 <= b < len(p.parts)):
@@ -612,7 +615,10 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
     """Embedding realizes L(G) inside H boxtimes K_{floor(p)}."""
     if len(embedding) != g.m:
         return False, "embedding: one entry per edge required"
-    part_of = {e: i for i, part in enumerate(p.parts) for e in part}
+    part_of = {}
+    for i, part in enumerate(p.parts):
+        for e in part:
+            part_of[e] = i
     p_floor = params.p_floor()
     used = set()
     for eid, entry in enumerate(embedding):

@@ -134,7 +134,10 @@ def _anchor_vertices(g: Graph, part) -> tuple:
     searching the part-level bags is equivalent to searching the blown-up
     ones and much cheaper.  Isolated vertices anchor at the designated node.
     """
-    part_of = {e: pid for pid, edge_set in enumerate(part.parts) for e in edge_set}
+    part_of = {}
+    for pid, edge_set in enumerate(part.parts):
+        for e in edge_set:
+            part_of[e] = pid
     nodes_of_part: dict[int, list] = {}
     for node, bag in enumerate(part.decomp.bags):
         for pid in bag:

@@ -42,7 +42,7 @@ import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParameterError
-from .graphs import (EdgeSet, Graph, LineView, VertexSet, _as_set, bfs_layers,
+from .graphs import (EdgeSet, Graph, LineView, VertexSet, _as_set, _found_layers,
                      components, edges_between, induced_edge_ids)
 
 class Budget:
@@ -108,26 +108,33 @@ class Budget:
         return f"Budget(sqrt({self.num}/{self.den}) - {self.s})"
 
 
+def guarantee_factor(h: int) -> int:
+    """Separator-size guarantee factor of the layered scheme for h targets."""
+    return 1 if h <= 1 else h
+
+
 class TreeOrSeparator(NamedTuple):
     """Either/or result; exactly one of the two outcomes is populated.
 
     ``flavor`` says whether the separator field holds vertex ids ("vertex")
     or edge ids ("edge"); tree edges are vertex pairs for the vertex flavor
-    and edge ids for the edge flavor.  A named tuple: immutable, and cheap
-    to build once per recursion step.
+    and edge ids for the edge flavor.  A named tuple: immutable, cheap to
+    build once per recursion step, and hashable.  Every field, ``fragments``
+    too, takes part in equality, hashing and repr, and a result equals the
+    plain tuple of its fields.
     """
 
     flavor: str                      # "vertex" | "edge"
     kind: str                        # "tree" | "separator"
     h: int
-    c_sep: int                       # promised guarantee factor: h, or 1 at h = 1
+    c_sep: int                       # promised guarantee factor for this call
     achieved: int                    # measured size of the returned object
     tree_vertices: Optional[VertexSet] = None
     tree_edges: Optional[tuple] = None
     separator: Optional[tuple] = None
     # the components of the view minus an edge separator, as its check found
     # them; the caller's minimalization starts from them
-    fragments: Optional[list] = None
+    fragments: Optional[tuple] = None
 
     def is_tree(self) -> bool:
         return self.kind == "tree"
@@ -162,8 +169,12 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
 
 
 def _vertex_result(h, kind, tv, te, sep) -> TreeOrSeparator:
-    return TreeOrSeparator("vertex", kind, h, max(h, 1),
-                           len(tv) if kind == "tree" else len(sep), tv, te, sep)
+    return TreeOrSeparator(
+        flavor="vertex", kind=kind, h=h,
+        c_sep=guarantee_factor(h),
+        achieved=len(tv) if kind == "tree" else len(sep),
+        tree_vertices=tv, tree_edges=te, separator=sep,
+    )
 
 
 def _vertex_scheme(g, tsets, r_exact, work):
@@ -196,8 +207,7 @@ def _vertex_scheme(g, tsets, r_exact, work):
             return "tree", (v,), (), None
 
     parent: dict = {}
-    layers = bfs_layers(g, tsets[-1], within=work, depth=k, parent=parent,
-                        found_order=True)
+    layers = _found_layers(g, tsets[-1], within=work, depth=k, parent=parent)
     sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
     j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
 
@@ -355,7 +365,8 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     comps = components(g, within=work, banned_edges=f)
     _verify_vertex(line, line_targets, r_exact, eid_set, sub, g, comps)
     for comp in comps:
-        if not any(t.isdisjoint(comp) for t in tsets):
+        cset = set(comp)
+        if all(cset & t for t in tsets):
             # such a component has no surviving incident target edge, hence
             # is a single vertex common to every target
             assert len(comp) == 1, "multi-vertex component survived the line separator"
@@ -365,13 +376,11 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
 
 
 def _one_target_tree(g: Graph, targets, work) -> TreeOrSeparator:
-    """The tree (min(A_1),) for one nonempty target inside ``work``, re-checked.
+    """The checked tree (min(A_1),) for one nonempty target inside ``work``.
 
     Both are read as they are; no budget binds a zero-edge tree.
     """
-    res = TreeOrSeparator("edge", "tree", 1, 1, 0, (min(targets[0]),), ())
-    _verify_edge(g, targets, None, work, res)
-    return res
+    return _finish_edge(g, targets, None, work, "tree", (min(targets[0]),), (), None)
 
 
 def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
@@ -388,9 +397,13 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
 
 def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep,
                  comps=None, inner=()) -> TreeOrSeparator:
-    h = len(tsets)
-    res = TreeOrSeparator("edge", kind, h, max(h, 1), len(te) if kind == "tree" else len(sep),
-                          tv, te, sep, comps)
+    res = TreeOrSeparator(
+        flavor="edge", kind=kind, h=len(tsets),
+        c_sep=guarantee_factor(len(tsets)),
+        achieved=len(te) if kind == "tree" else len(sep),
+        tree_vertices=tv, tree_edges=te, separator=sep,
+        fragments=None if comps is None else tuple(comps),
+    )
     _verify_edge(g, tsets, r_exact, work, res, comps, inner)
     return res
 
@@ -497,5 +510,9 @@ def minimalize_edge_separator(g: Graph, f_edges: Iterable[int],
 
 
 def _hits(comp, tsets) -> int:
-    """Bit mask of the targets that ``comp`` meets."""
-    return sum(1 << i for i, t in enumerate(tsets) if not t.isdisjoint(comp))
+    mask = 0
+    cset = set(comp)
+    for i, t in enumerate(tsets):
+        if cset & t:
+            mask |= 1 << i
+    return mask

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from edgesep import (Graph, LineView, bfs_layers, components, edges_between,
                      induced_edge_ids, line_graph, max_degree, neighborhood,
                      validate_model)
+from edgesep.graphs import _found_layers
 from edgesep.tree_or_sep import _extend_to
 from edgesep.generators import grid, path, star
 
@@ -240,10 +241,10 @@ class TestBfsLayers:
         assert bfs_layers(path(5), (0,), depth=0) == [(0,)]
         assert bfs_layers(path(3), (0,), depth=7) == [(0,), (1,), (2,)]
 
-    def test_found_order_layers_are_the_sorted_layers_unsorted(self):
+    def test_found_layers_are_the_sorted_layers_unsorted(self):
         g = grid(5, 5)
         for sources in [(12,), (0, 24), (3, 7, 11)]:
-            found = bfs_layers(g, sources, found_order=True)
+            found = _found_layers(g, sources)
             assert [tuple(sorted(layer)) for layer in found] == bfs_layers(g, sources)
             assert all(isinstance(layer, list) for layer in found)
 

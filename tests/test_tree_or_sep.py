@@ -579,12 +579,12 @@ class TestH2FastPath:
         searches = []
 
         def counted(*a, **k):
-            layers = bfs_layers(*a, **k)
+            layers = graphs._found_layers(*a, **k)
             searches.append(len(layers) <= k["depth"])
             return layers
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tree_or_sep, "bfs_layers", counted)
+            mp.setattr(tree_or_sep, "_found_layers", counted)
             got = tree_or_sep._vertex_scheme(g, tsets, r, work)
         assert got == layered_scheme(g, tsets, r, work)
         if case == "fast":
@@ -634,7 +634,15 @@ class TestLineSeparatorCheck:
                             lambda *args: ("separator", None, None, (0, 4)))
         res = edge_tree_or_separator(_c6(), [(0,), (3,)], 3)
         assert res.kind == "separator" and res.separator == (0, 4)
-        assert res.fragments == [(0, 4, 5), (1, 2, 3)]
+        assert res.fragments == ((0, 4, 5), (1, 2, 3))
+
+    def test_results_hash_and_compare_as_tuples(self):
+        # fragments is a tuple, so an edge separator outcome hashes too;
+        # every field takes part in equality, and so does the tuple type
+        res = edge_tree_or_separator(_c6(), [(0,), (3,)], 2)
+        assert res.kind == "separator" and res.fragments == ((0, 1, 5), (2, 3, 4))
+        assert hash(res) == hash(tuple(res)) and res == tuple(res)
+        assert res != res._replace(fragments=None)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(connected_views(), st.data())
@@ -669,7 +677,7 @@ class TestOneSearchPerLevel:
         levels = []         # per scheme level with h >= 2: the searches it made
         stack = []
         strays = []
-        scheme, bfs, comps = (tree_or_sep._vertex_scheme, tree_or_sep.bfs_layers,
+        scheme, bfs, comps = (tree_or_sep._vertex_scheme, tree_or_sep._found_layers,
                               tree_or_sep.components)
         step = graphs._next_layer
 
@@ -683,7 +691,7 @@ class TestOneSearchPerLevel:
                     levels.append(tuple(made))
 
         def searched(*a, **k):
-            stack[-1][1].append("bfs_layers")
+            stack[-1][1].append("layers")
             return bfs(*a, **k)
 
         def connected(g, within=None, banned_edges=()):
@@ -700,7 +708,7 @@ class TestOneSearchPerLevel:
             return step(*args)
 
         monkeypatch.setattr(tree_or_sep, "_vertex_scheme", level)
-        monkeypatch.setattr(tree_or_sep, "bfs_layers", searched)
+        monkeypatch.setattr(tree_or_sep, "_found_layers", searched)
         monkeypatch.setattr(tree_or_sep, "components", connected)
         monkeypatch.setattr(graphs, "_next_layer", one_step)
         res = partition_line_graph(grid(32, 32), 5)
@@ -709,4 +717,4 @@ class TestOneSearchPerLevel:
         # 112 levels test the last target and search once; 32 take the
         # h = 2 fast path after the test; no ball splits on the grid
         assert {shape: levels.count(shape) for shape in set(levels)} == \
-            {("target", "bfs_layers"): 112, ("target",): 32}
+            {("target", "layers"): 112, ("target",): 32}

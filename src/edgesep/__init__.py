@@ -22,12 +22,10 @@ from .partition import (KtCertificate, Params, PartitionResult, RootedInstance,
                         validate_embedding, validate_partition)
 from .separator import (EdgeSeparatorResult, IsoperimetricWitness,
                         balanced_edge_separator, isoperimetric_witness,
-                        orient_and_find_sink, separator_from_partition,
-                        uniform_weights)
+                        separator_from_partition, uniform_weights)
 from .tree_or_sep import (TreeOrSeparator, edge_tree_or_separator,
                           minimalize_edge_separator, vertex_tree_or_separator)
 from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
-                         product_blowup, singleton, validate_decomposition,
-                         width)
+                         product_blowup, validate_decomposition, width)
 
 __version__ = "0.1.0"

@@ -13,6 +13,11 @@ from .errors import FormatError
 from .graphs import Graph
 from .treedecomp import TreeDecomposition
 
+# A header may announce at most this many vertices per character of input.
+# Isolated vertices need no line, so n is not otherwise tied to the input,
+# while every report is Theta(n): the cap keeps that cost linear in the input.
+MAX_VERTICES_PER_CHAR = 16
+
 
 def parse_graph(text: str) -> Graph:
     n = m = None
@@ -34,6 +39,9 @@ def parse_graph(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: non-integer header fields") from None
             if n < 0 or m < 0:
                 raise FormatError(f"line {lineno}: negative header fields")
+            if n > MAX_VERTICES_PER_CHAR * len(text):
+                raise FormatError(f"line {lineno}: header announces {n} vertices, more than "
+                                  f"{MAX_VERTICES_PER_CHAR} per character of input")
             continue
         if n is None:
             raise FormatError(f"line {lineno}: edge before header")

@@ -8,10 +8,9 @@ found is canonical and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import OracleLimitError, ParameterError
 from .graphs import Graph, components, induced_edge_ids
@@ -20,8 +19,7 @@ from .tree_or_sep import Budget, edge_tree_or_separator
 HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class OracleLimits:
+class OracleLimits(NamedTuple):
     max_vertices_tw: int = 12
     max_edges_sep: int = 20
     max_vertices_iso: int = 16
@@ -213,8 +211,7 @@ def has_kt_minor(g: Graph, t: int,
 
 # ------------------------------------------------------------- lemma check
 
-@dataclass(frozen=True)
-class LemmaCheckReport:
+class LemmaCheckReport(NamedTuple):
     tree_exists: bool
     outcome: str             # "tree" | "separator"
     contract_ok: bool

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import ParameterError
@@ -29,8 +28,7 @@ from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
                          product_blowup, validate_decomposition, width)
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """Run parameters; all bound comparisons against p_impl are exact.
 
     p_impl = sqrt(c_sep*(t-3)*delta*m) + delta.  With c_sep = 1 this is the
@@ -77,16 +75,14 @@ class Params:
         return Budget(self.c_sep * (h - 1) * self.m, self.delta)
 
 
-@dataclass(frozen=True)
-class KtCertificate:
+class KtCertificate(NamedTuple):
     """Explicit K_t-model witnessing that the input had a K_t minor."""
 
     branch_sets: tuple
     t: int
 
 
-@dataclass(frozen=True)
-class RootedPartition:
+class RootedPartition(NamedTuple):
     """Partition graph H over edge sets of the host graph.
 
     ``parts[i]`` is a sorted edge-id tuple; ``h_edges`` the adjacency among
@@ -101,8 +97,7 @@ class RootedPartition:
     decomp: TreeDecomposition
 
 
-@dataclass(frozen=True)
-class RootedInstance:
+class RootedInstance(NamedTuple):
     """Public description of one recursion instance (host ids throughout)."""
 
     c: VertexSet
@@ -110,8 +105,7 @@ class RootedInstance:
     model: tuple      # tuple of vertex tuples U_1..U_h
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(NamedTuple):
     partition: RootedPartition
     embedding: tuple   # per edge id: (part id, slot index >= 1)
     params: Params

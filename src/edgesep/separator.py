@@ -11,9 +11,8 @@ integer comparison, never one through floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import IncidentError, ParameterError
 from .graphs import EdgeSet, Graph, VertexSet, components, edges_between
@@ -50,8 +49,7 @@ def check_weights(g: Graph, w) -> int:
     return lcd
 
 
-@dataclass(frozen=True)
-class EdgeSeparatorResult:
+class EdgeSeparatorResult(NamedTuple):
     edges: EdgeSet
     components: tuple                 # ((vertices, weight), ...)
     bound_used: int                   # (t-1) * floor(p_impl)
@@ -60,8 +58,7 @@ class EdgeSeparatorResult:
     anchors: tuple                    # per vertex: decomposition node id
 
 
-@dataclass(frozen=True)
-class IsoperimetricWitness:
+class IsoperimetricWitness(NamedTuple):
     s: VertexSet
     cut_size: int
     ratio: Fraction
@@ -155,25 +152,13 @@ def _anchor_vertices(g: Graph, part) -> tuple:
     return tuple(anchors)
 
 
-def orient_and_find_sink(d: TreeDecomposition, node_weights) -> int:
+def _find_sink(d: TreeDecomposition, loads: list, total: int) -> int:
     """Node of the decomposition tree with no incident edge oriented away.
 
-    A tree edge points toward the side of weight > 1/2; edges balanced at
-    exactly 1/2 stay unoriented.  Such a sink always exists; the smallest id
-    is returned.  ``node_weights`` maps nodes to exact rational weights.
+    ``loads`` are integer node loads summing to ``total``.  A tree edge
+    points toward the side of load > total/2; edges balanced at exactly half
+    stay unoriented.  Such a sink always exists; the smallest id is returned.
     """
-    if d.n_nodes == 0:
-        raise ParameterError("empty decomposition has no sink")
-    weights = {i: Fraction(x) for i, x in node_weights.items()}
-    lcd = math.lcm(*(x.denominator for x in weights.values()))
-    loads = {i: x.numerator * (lcd // x.denominator) for i, x in weights.items()}
-    if sum(loads.values()) != lcd:
-        raise ParameterError("node weights must sum to exactly 1")
-    return _find_sink(d, [loads.get(i, 0) for i in range(d.n_nodes)], lcd)
-
-
-def _find_sink(d: TreeDecomposition, loads: list, total: int) -> int:
-    """``orient_and_find_sink`` on integer node loads summing to ``total``."""
     k = d.n_nodes
     nbrs, parent, order = rooted_tree(d)
     if len(order) != k:

@@ -8,14 +8,12 @@ attaches at nodes it holds, so each step appends a node instead of copying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, LineView, VertexSet
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     """Bags indexed by the nodes 0..k-1 of a tree.
 
     ``bags[i]`` is a sorted vertex tuple over the decomposed graph's universe.
@@ -60,12 +58,6 @@ class Decomposition:
         return TreeDecomposition(
             bags=tuple(self.bags), tree_edges=tuple(self.tree_edges), designated=designated,
             root_clique=None if designated is None else self.bags[designated])
-
-
-def singleton(clique: Iterable[int]) -> TreeDecomposition:
-    """One-node decomposition whose bag is the given clique."""
-    d = Decomposition()
-    return d.freeze(d.add(clique))
 
 
 def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]]:

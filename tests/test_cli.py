@@ -69,6 +69,18 @@ class TestGen:
         assert "{gen,partition,tdlg,separate,iso,verify,oracle}" in buf.getvalue()
 
 
+class TestStartup:
+    """Every command pays the import of ``edgesep.cli`` before it reads input."""
+
+    def test_the_cli_imports_neither_dataclasses_nor_inspect(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import edgesep.cli; "
+                 "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.split() == []
+
+
 class TestPartition:
     def test_grid_partition_json(self, grid_file):
         code, out = run_cli(["partition", grid_file, "--t", "5"])
@@ -395,6 +407,13 @@ class TestHostileArtifacts:
         art.write_text(json.dumps(artifact))
         code, _ = run_cli_stderr(["verify", kind, str(art), "--against", str(graph)])
         assert code in (0, 1, 2)
+
+    def test_a_header_announcing_a_million_vertices_is_a_usage_error(self, monkeypatch):
+        # 15 characters of input may announce at most 15 * 16 = 240 vertices
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p tw 1000000 0\n"))
+        code, err = run_cli_stderr(["partition", "--t", "5"])
+        assert code == 2
+        assert "header announces 1000000 vertices" in err
 
 
 class TestOracleCommand:

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from edgesep import Graph, has_kt_minor, max_degree, validate_decomposition
 from edgesep.errors import FormatError, ParameterError
-from edgesep.formats import (emit_decomposition, emit_graph, graph_digest,
-                             parse_decomposition, parse_graph, parse_weights)
+from edgesep.formats import (MAX_VERTICES_PER_CHAR, emit_decomposition, emit_graph,
+                             graph_digest, parse_decomposition, parse_graph, parse_weights)
 from edgesep.generators import (complete, cycle, generate, grid, outerplanar,
                                 path, random_tree, star, toroidal_grid)
-from edgesep.treedecomp import TreeDecomposition, singleton
+from edgesep.treedecomp import TreeDecomposition
 
 
 class TestGraphFormat:
@@ -45,13 +45,21 @@ class TestGraphFormat:
         with pytest.raises(FormatError, match="announced"):
             parse_graph("p tw 3 2\n1 2\n")
 
+    def test_a_header_just_inside_the_vertex_cap_parses(self):
+        head = "p tw 640 0\n"
+        text = head + "c" * (640 // MAX_VERTICES_PER_CHAR - len(head) - 1) + "\n"
+        assert len(text) * MAX_VERTICES_PER_CHAR == 640
+        assert parse_graph(text).n == 640
+        with pytest.raises(FormatError, match="641 vertices"):
+            parse_graph(text.replace("640", "641"))
+
     def test_digest_is_stable(self):
         assert graph_digest(grid(2, 2)) == graph_digest(grid(2, 2))
 
 
 class TestDecompositionFormat:
     def test_single_bag(self):
-        text = emit_decomposition(singleton((0, 1, 2)), 3)
+        text = emit_decomposition(TreeDecomposition(bags=((0, 1, 2),), tree_edges=()), 3)
         assert text == "s td 1 3 3\nb 1 1 2 3\n"
 
     def test_round_trip(self):

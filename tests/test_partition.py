@@ -1,15 +1,17 @@
 """Partition engine: parameters, the recursion, wrappers, and validators."""
 
-import dataclasses
 import math
 import sys
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesep import (Graph, KtCertificate, Params, RootedInstance, components,
+from edgesep import (EdgeSeparatorResult, Graph, IsoperimetricWitness, KtCertificate,
+                     LemmaCheckReport, OracleLimits, Params, PartitionResult,
+                     RootedInstance, RootedPartition, TreeDecomposition, components,
                      exact_treewidth, has_kt_minor, induced_edge_ids,
                      induction_step, line_graph,
                      line_graph_tree_decomposition,
@@ -56,6 +58,51 @@ class TestParams:
     def test_rejects_small_t(self):
         with pytest.raises(ParameterError, match="t must be"):
             partition_line_graph(Graph(2, [(0, 1)]), 2)
+
+    def test_for_graph_reads_delta_and_m(self):
+        g = grid(3, 3)
+        assert Params.for_graph(g, 5) == Params(t=5, delta=4, m=12, c_sep=3)
+        assert Params.for_graph(g, 5, c_sep=1).c_sep == 1
+        with pytest.raises(ParameterError, match="t must be"):
+            Params.for_graph(g, 2)
+
+
+_DECOMP = TreeDecomposition(bags=((0,), (0, 1)), tree_edges=((0, 1),), designated=1,
+                            root_clique=(0, 1))
+_PARAMS = Params(t=5, delta=1, m=1, c_sep=3)
+_PARTITION = RootedPartition(parts=((0,), (1,)), h_edges=((0, 1),), root=(0, 1),
+                             decomp=_DECOMP)
+RECORDS = [
+    _PARAMS,
+    KtCertificate(branch_sets=((0,), (1,), (2,)), t=3),
+    _PARTITION,
+    RootedInstance(c=frozenset((0, 1)), roots=((0,),), model=((0,),)),
+    PartitionResult(partition=_PARTITION, embedding=((0, 1),), params=_PARAMS),
+    _DECOMP,
+    EdgeSeparatorResult(edges=(0,), components=(((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))),
+                        bound_used=8, reference_bound=4, sink_node=0, anchors=(0, 0)),
+    IsoperimetricWitness(s=(0,), cut_size=1, ratio=Fraction(1)),
+    OracleLimits(),
+    LemmaCheckReport(tree_exists=True, outcome="tree", contract_ok=True, returned_size=0),
+]
+
+
+class TestRecords:
+    """Results and parameters are named tuples: immutable, hashable, plain tuples."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_a_record_is_an_immutable_hashable_tuple(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert record == fields
+        assert hash(record) == hash(fields)
+
+    def test_defaults(self):
+        assert TreeDecomposition(bags=((0,),), tree_edges=()).n_nodes == 1
+        assert _DECOMP.n_nodes == 2
+        assert OracleLimits() == (12, 20, 16, 14)
+        assert OracleLimits(max_vertices_tw=13).max_edges_sep == 20
 
 
 def triangle_instance():
@@ -403,7 +450,7 @@ class TestValidatorsPerPart:
         res = partition_line_graph(g, 5)
         part = res.partition
         for k in range(len(part.h_edges)):
-            bad = dataclasses.replace(part, h_edges=part.h_edges[:k] + part.h_edges[k + 1:])
+            bad = part._replace(h_edges=part.h_edges[:k] + part.h_edges[k + 1:])
             want = _first_pair_violation(g, bad)
             if want is None:
                 continue        # no two adjacent edges sit in that pair of parts

@@ -1,5 +1,6 @@
 """Balanced edge separators, tree orientation, and isoperimetric witnesses."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 
 from edgesep import (Graph, KtCertificate, balanced_edge_separator, components,
                      edges_between, exact_isoperimetric, isoperimetric_witness,
-                     min_balanced_edge_separator, orient_and_find_sink,
-                     partition_line_graph, product_blowup,
+                     min_balanced_edge_separator, partition_line_graph, product_blowup,
                      separator_from_partition, uniform_weights)
 from edgesep import separator as separator_module
 from edgesep.errors import ParameterError
@@ -22,6 +22,22 @@ HALF = Fraction(1, 2)
 
 def frac(a, b):
     return Fraction(a, b)
+
+
+def orient_and_find_sink(d: TreeDecomposition, node_weights) -> int:
+    """Reference for the sink search on exact rational node weights.
+
+    ``node_weights`` maps nodes to weights summing to 1; they are scaled to
+    integer loads over their least common denominator for ``_find_sink``.
+    """
+    if d.n_nodes == 0:
+        raise ParameterError("empty decomposition has no sink")
+    weights = {i: Fraction(x) for i, x in node_weights.items()}
+    lcd = math.lcm(*(x.denominator for x in weights.values()))
+    loads = {i: x.numerator * (lcd // x.denominator) for i, x in weights.items()}
+    if sum(loads.values()) != lcd:
+        raise ParameterError("node weights must sum to exactly 1")
+    return separator_module._find_sink(d, [loads.get(i, 0) for i in range(d.n_nodes)], lcd)
 
 
 class TestBalancedSeparator:

@@ -5,14 +5,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edgesep import (Graph, LineView, attach_vertex, glue, line_graph,
-                     partition_line_graph, product_blowup, singleton,
-                     validate_decomposition, width)
+                     partition_line_graph, product_blowup, validate_decomposition,
+                     width)
 from edgesep.generators import grid, random_tree
 from edgesep.treedecomp import Decomposition, TreeDecomposition
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 K3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def singleton(clique) -> TreeDecomposition:
+    """One-node decomposition whose bag is the given clique, designated."""
+    d = Decomposition()
+    return d.freeze(d.add(clique))
 
 
 class TestValidate:

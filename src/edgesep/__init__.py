@@ -15,11 +15,10 @@ from .graphs import (EdgeSet, Graph, LineView, VertexSet, bfs_layers,
 from .oracles import (LemmaCheckReport, OracleLimits, edge_lemma_contract_check,
                       exact_isoperimetric, exact_treewidth, has_kt_minor,
                       min_balanced_edge_separator)
-from .partition import (KtCertificate, Params, PartitionResult, RootedInstance,
-                        RootedPartition, check_instance, induction_step,
-                        line_graph_tree_decomposition,
-                        partition_line_graph, validate_certificate,
-                        validate_embedding, validate_partition)
+from .partition import (KtCertificate, Params, PartitionResult, RootedPartition,
+                        line_graph_tree_decomposition, partition_line_graph,
+                        validate_certificate, validate_embedding,
+                        validate_partition)
 from .separator import (EdgeSeparatorResult, IsoperimetricWitness,
                         balanced_edge_separator, isoperimetric_witness,
                         separator_from_partition, uniform_weights)

@@ -56,20 +56,12 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def edge_id(self, u: int, v: int) -> int:
-        """Id of the edge uv, by bisection in the ascending ``adj[u]``."""
-        from bisect import bisect_left      # only tests and checks look edges up
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether uv is an edge, by bisection in the ascending ``adj[u]``."""
+        from bisect import bisect_left      # only checks look edges up
         row = self.adj[u] if 0 <= u < self.n else ()
         i = bisect_left(row, v)
-        if i == len(row) or row[i] != v:
-            raise KeyError((u, v) if u < v else (v, u))
-        return self.adj_eids[u][i]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        try:
-            return self.edge_id(u, v) >= 0
-        except KeyError:
-            return False
+        return i < len(row) and row[i] == v
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]

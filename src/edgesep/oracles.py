@@ -96,6 +96,10 @@ def min_balanced_edge_separator(g: Graph, w,
         raise ParameterError("weight function must cover every vertex")
     if any(x > HALF for x in w):
         raise ParameterError("a vertex weighs more than 1/2, so no edge set balances")
+    if any(x < 0 for x in w):
+        raise ParameterError("a vertex has negative weight")
+    if sum(w, Fraction(0)) != 1:
+        raise ParameterError("weights must sum to exactly 1")
     for size in range(g.m + 1):
         for f in combinations(range(g.m), size):
             ok = True

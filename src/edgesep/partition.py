@@ -20,8 +20,8 @@ from collections import deque
 from typing import NamedTuple, Optional, Union
 
 from .errors import ParameterError
-from .graphs import (Graph, VertexSet, components, edges_between,
-                     induced_edge_ids, max_degree, neighborhood, validate_model)
+from .graphs import (Graph, components, edges_between, max_degree,
+                     neighborhood, validate_model)
 from .tree_or_sep import (Budget, _one_target_tree, edge_tree_or_separator,
                           minimalize_edge_separator)
 from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
@@ -97,21 +97,10 @@ class RootedPartition(NamedTuple):
     decomp: TreeDecomposition
 
 
-class RootedInstance(NamedTuple):
-    """Public description of one recursion instance (host ids throughout)."""
-
-    c: VertexSet
-    roots: tuple      # tuple of edge-id tuples E_1..E_h
-    model: tuple      # tuple of vertex tuples U_1..U_h
-
-
 class PartitionResult(NamedTuple):
     partition: RootedPartition
     embedding: tuple   # per edge id: (part id, slot index >= 1)
     params: Params
-
-
-EngineOutcome = Union[RootedPartition, KtCertificate]
 
 
 # ---------------------------------------------------------------- recursion
@@ -336,10 +325,6 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
         assert measure < parent_measure, "recursion measure failed to decrease"
     t = params.t
 
-    # an oversized root model is already a K_t-model on its own
-    if h >= t:
-        return KtCertificate(tuple(tuple(sorted(u)) for u in models[:t]), t)
-
     if len(pieces) > 1:
         _Join([(_Call([p], roots, models, nbrs, measure),) for p in pieces],
               roots).launch(stack)
@@ -361,7 +346,9 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     h -= len(empties)
     measure -= len(empties)
 
-    # C connected and every A_i nonempty: (U_1..U_h, V(C)) is a K_{h+1}-model
+    # C connected and every A_i nonempty: (U_1..U_h, V(C)) is a K_{h+1}-model.
+    # A call enters with h <= t - 1: a tree child has one root more than a
+    # step that passed this test, so here h + 1 = t
     if h >= t - 1:
         sets = tuple(tuple(sorted(u)) for u in models) + (tuple(sorted(c)),)
         return KtCertificate(sets, t)
@@ -440,63 +427,6 @@ def _run(g, params, out: _Builder, call: _Call):
 
 # ---------------------------------------------------------------- public ops
 
-def check_instance(g: Graph, inst: RootedInstance, params: Params) -> None:
-    """Raise ParameterError naming the first violated instance invariant."""
-    c = set(inst.c)
-    if not c:
-        raise ParameterError("instance: C is empty")
-    if any(not (0 <= v < g.n) for v in c):
-        raise ParameterError("instance: C contains out-of-range vertices")
-    comp = next((set(k) for k in components(g) if c & set(k)), set())
-    if not c <= comp:
-        raise ParameterError("instance: C spans several components")
-    if c == comp:
-        raise ParameterError("instance: C must be a proper subset of its component")
-    h = len(inst.roots)
-    if h == 0 or h != len(inst.model):
-        raise ParameterError("instance: roots and model must be nonempty and aligned")
-    c_edges = set(induced_edge_ids(g, c))
-    seen: set[int] = set()
-    for i, e_i in enumerate(inst.roots):
-        es = set(e_i)
-        if not es:
-            raise ParameterError(f"instance: root edge set {i} is empty")
-        if es & c_edges:
-            raise ParameterError(f"instance: root edge set {i} meets E(C)")
-        if es & seen:
-            raise ParameterError(f"instance: root edge set {i} overlaps another")
-        if not params.allows_part_size(len(es)):
-            raise ParameterError(f"instance: root edge set {i} exceeds the size budget")
-        seen |= es
-    ok, why = validate_model(g, inst.model)
-    if not ok:
-        raise ParameterError(f"instance: model invalid ({why})")
-    union_u: set[int] = set()
-    for i, u in enumerate(inst.model):
-        if set(u) & c:
-            raise ParameterError(f"instance: model set {i} meets C")
-        union_u |= set(u)
-    if not set(neighborhood(g, c)) <= union_u:
-        raise ParameterError("instance: N(C) is not covered by the model")
-    for i, (u, e_i) in enumerate(zip(inst.model, inst.roots)):
-        if not set(edges_between(g, c, u)) <= set(e_i):
-            raise ParameterError(f"instance: E(C, U_{i + 1}) not contained in root set {i}")
-
-
-def induction_step(g: Graph, inst: RootedInstance, params: Params) -> EngineOutcome:
-    """One certified run of the recursion on an explicit rooted instance."""
-    check_instance(g, inst, params)
-    out = _Builder()
-    roots = tuple(out.slot(frozenset(e)) for e in inst.roots)
-    node = _run(g, params, out, _Call(
-        [_Piece(set(comp)) for comp in components(g, within=inst.c)], roots,
-        tuple(frozenset(u) for u in inst.model),
-        tuple(frozenset(neighborhood(g, u)) for u in inst.model), None))
-    if isinstance(node, KtCertificate):
-        return node
-    return out.freeze(roots, node)
-
-
 def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertificate]:
     """Partition L(G) component by component, or return a K_t certificate.
 
@@ -547,45 +477,34 @@ def _build_embedding(g: Graph, p: RootedPartition) -> tuple:
 
 # ---------------------------------------------------------------- validators
 
-def validate_partition(g: Graph, p: RootedPartition, params: Params,
-                       universe=None) -> tuple[bool, Optional[str]]:
+def validate_partition(g: Graph, p: RootedPartition,
+                       params: Params) -> tuple[bool, Optional[str]]:
     """All RootedPartition invariants; returns (ok, first violated clause)."""
-    uni = set(universe) if universe is not None else set(range(g.m))
-    seen: set[int] = set()
+    uni = set(range(g.m))
+    part_of: dict = {}
     for i, part in enumerate(p.parts):
         if not part:
             return False, f"parts: part {i} is empty"
         ps = set(part)
         if not ps <= uni:
             return False, f"parts: part {i} leaves the edge universe"
-        if ps & seen:
+        if not part_of.keys().isdisjoint(ps):
             return False, f"parts: part {i} overlaps an earlier part"
         if not params.allows_part_size(len(part)):
             return False, f"part size: part {i} has {len(part)} > p_impl edges"
-        seen |= ps
-    if seen != uni:
+        part_of.update(dict.fromkeys(ps, i))
+    if len(part_of) != g.m:
         return False, "coverage: parts do not cover the edge universe"
 
-    part_of = {}
-    for i, part in enumerate(p.parts):
-        for e in part:
-            part_of[e] = i
     h_set = set()
     for a, b in p.h_edges:
         if a == b or not (0 <= a < len(p.parts) and 0 <= b < len(p.parts)):
             return False, "h-edges: malformed part adjacency"
         h_set.add((a, b) if a < b else (b, a))
-    for v in range(g.n):
-        eids = [e for e in g.adj_eids[v] if e in part_of]
-        if _pairwise_adjacent({part_of[e] for e in eids}, h_set):
-            continue
-        # some pair misses: the edge-pair scan names the first one
-        for i in range(len(eids)):
-            for j in range(i + 1, len(eids)):
-                pa, pb = part_of[eids[i]], part_of[eids[j]]
-                if pa != pb and ((pa, pb) if pa < pb else (pb, pa)) not in h_set:
-                    return False, ("partition property: adjacent edges "
-                                   f"{eids[i]},{eids[j]} in non-adjacent parts")
+    pair = _unjoined_pair(g, part_of, h_set)
+    if pair:
+        return False, ("partition property: adjacent edges "
+                       f"{pair[0]},{pair[1]} in non-adjacent parts")
     for i, a in enumerate(p.root):
         for b in p.root[i + 1:]:
             if ((a, b) if a < b else (b, a)) not in h_set:
@@ -609,48 +528,43 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
     """Embedding realizes L(G) inside H boxtimes K_{floor(p)}."""
     if len(embedding) != g.m:
         return False, "embedding: one entry per edge required"
-    part_of = {}
-    for i, part in enumerate(p.parts):
-        for e in part:
-            part_of[e] = i
+    part_of = {e: i for i, part in enumerate(p.parts) for e in part}
     p_floor = params.p_floor()
     used = set()
-    for eid, entry in enumerate(embedding):
-        pid, slot = entry
-        if part_of.get(eid) != pid:
+    for eid, (pid, slot) in enumerate(embedding):
+        if eid not in part_of or part_of[eid] != pid:
             return False, f"embedding: edge {eid} mapped to the wrong part"
         if not (1 <= slot <= max(p_floor, 1)):
             return False, f"embedding: slot {slot} outside 1..floor(p)"
         if (pid, slot) in used:
             return False, "embedding: slot reused within a part"
         used.add((pid, slot))
+    # each edge sits in its part, and (part, slot) is unique: only parts can clash
     h_set = {(a, b) if a < b else (b, a) for a, b in p.h_edges}
-    for v in range(g.n):
-        eids = g.adj_eids[v]
-        # (part, slot) is unique by now, so only distinct parts can clash
-        if _pairwise_adjacent({embedding[e][0] for e in eids}, h_set):
-            continue
-        for i in range(len(eids)):
-            for j in range(i + 1, len(eids)):
-                pa, sa = embedding[eids[i]]
-                pb, sb = embedding[eids[j]]
-                if pa == pb:
-                    if sa == sb:
-                        return False, "embedding: adjacent edges share part and slot"
-                elif ((pa, pb) if pa < pb else (pb, pa)) not in h_set:
-                    return False, "embedding: adjacent edges in non-adjacent parts"
+    if _unjoined_pair(g, part_of, h_set):
+        return False, "embedding: adjacent edges in non-adjacent parts"
     return True, None
 
 
-def _pairwise_adjacent(pids, h_set) -> bool:
-    """Every two distinct parts among ``pids`` are adjacent in H.
+def _unjoined_pair(g: Graph, part_of: dict, h_set: set) -> Optional[tuple]:
+    """The first two adjacent edges in distinct parts that H does not join.
 
-    Checking the parts at a vertex, not its pairs of edges, costs its degree
-    plus the square of its part count; in a valid partition those parts form
-    a clique of H, so there are at most t - 1 of them.
+    ``part_of`` maps every edge to its part.  A vertex first checks its set
+    of parts, not its pairs of edges, which costs its degree plus the square
+    of its part count; in a valid partition those parts form a clique of H,
+    so there are at most t - 1 of them.  Only a vertex that fails runs the
+    pair scan, which names the first pair.
     """
-    ps = sorted(pids)
-    return all((a, b) in h_set for i, a in enumerate(ps) for b in ps[i + 1:])
+    for eids in g.adj_eids:
+        ps = sorted({part_of[e] for e in eids})
+        if all((a, b) in h_set for i, a in enumerate(ps) for b in ps[i + 1:]):
+            continue
+        for i, e in enumerate(eids):
+            for f in eids[i + 1:]:
+                pa, pb = part_of[e], part_of[f]
+                if pa != pb and ((pa, pb) if pa < pb else (pb, pa)) not in h_set:
+                    return e, f
+    return None
 
 
 def validate_certificate(g: Graph, cert: KtCertificate) -> tuple[bool, Optional[str]]:

@@ -416,6 +416,39 @@ class TestHostileArtifacts:
         assert "header announces 1000000 vertices" in err
 
 
+class TestEveryCommandExitsWithADocumentedCode:
+    """Valid graph text, any t and any weight text: each command exits 0..3."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("commands")
+        return d / "g.gr", d / "w.w"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_command_never_raises(self, files, data):
+        graph, weights = files
+        n = data.draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                          else st.just([]))
+        graph.write_text(emit_graph(Graph(n, edges)))
+        weights.write_text(data.draw(st.one_of(
+            st.just("".join(f"{v} 1/{n}\n" for v in range(1, n + 1))),
+            st.lists(st.tuples(st.integers(0, n + 1), st.integers(-2, 6),
+                               st.integers(0, 8)), max_size=n + 1).map(
+                lambda rows: "".join(f"{v} {a}/{b}\n" for v, a, b in rows)),
+            st.text(max_size=20))))
+        t = ["--t", str(data.draw(st.integers(-1, 8)))]
+        argv = data.draw(st.sampled_from([
+            ["partition", str(graph)] + t, ["tdlg", str(graph)] + t,
+            ["separate", str(graph), "--weights", str(weights)] + t,
+            ["iso", str(graph)] + t, ["oracle", "tw", str(graph)],
+            ["oracle", "sep", str(graph), "--weights", str(weights)],
+            ["oracle", "iso", str(graph)], ["oracle", "minor", str(graph)] + t]))
+        assert run_cli_stderr(argv)[0] in (0, 1, 2, 3)
+
+
 class TestOracleCommand:
     def test_tw(self, grid_file):
         code, out = run_cli(["oracle", "tw", grid_file])
@@ -455,6 +488,19 @@ class TestOracleCommand:
         w.write_text("1 1\n")
         code, err = run_cli_stderr(["oracle", "sep", grid_file, "--weights", str(w)])
         assert code == 2 and "weighs more than 1/2" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("1 1/2\n2 -1/2\n3 1/2\n4 1/2\n", "error: a vertex has negative weight"),
+        ("1 1/4\n", "error: weights must sum to exactly 1"),
+    ], ids=["negative", "short-sum"])
+    def test_sep_rejects_the_weights_separate_rejects(self, tmp_path, text, message):
+        p = tmp_path / "p4.gr"
+        p.write_text(emit_graph(path(4)))
+        w = tmp_path / "w.w"
+        w.write_text(text)
+        assert run_cli_stderr(["separate", str(p), "--t", "5", "--weights", str(w)])[0] == 2
+        code, err = run_cli_stderr(["oracle", "sep", str(p), "--weights", str(w)])
+        assert code == 2 and message in err
 
     def test_iso_on_one_vertex_is_a_usage_error(self, one_vertex_file):
         code, err = run_cli_stderr(["oracle", "iso", one_vertex_file])

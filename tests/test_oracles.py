@@ -213,3 +213,11 @@ class TestPreconditions:
         w = (Fraction(0), Fraction(1), Fraction(0))
         with pytest.raises(ParameterError, match="more than 1/2"):
             min_balanced_edge_separator(path(3), w)
+
+    @pytest.mark.parametrize("w, message", [
+        ((Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2)), "negative weight"),
+        ((Fraction(1, 4), Fraction(0), Fraction(0), Fraction(0)), "sum to exactly 1"),
+    ], ids=["negative", "short-sum"])
+    def test_weights_must_form_a_distribution(self, w, message):
+        with pytest.raises(ParameterError, match=message):
+            min_balanced_edge_separator(path(4), w)

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from edgesep import (EdgeSeparatorResult, Graph, IsoperimetricWitness, KtCertificate,
                      LemmaCheckReport, OracleLimits, Params, PartitionResult,
-                     RootedInstance, RootedPartition, TreeDecomposition, components,
-                     exact_treewidth, has_kt_minor, induced_edge_ids,
-                     induction_step, line_graph,
+                     RootedPartition, TreeDecomposition, components,
+                     exact_treewidth, has_kt_minor, induced_edge_ids, line_graph,
                      line_graph_tree_decomposition,
                      partition_line_graph, validate_certificate,
                      validate_decomposition, validate_embedding,
@@ -76,7 +75,6 @@ RECORDS = [
     _PARAMS,
     KtCertificate(branch_sets=((0,), (1,), (2,)), t=3),
     _PARTITION,
-    RootedInstance(c=frozenset((0, 1)), roots=((0,),), model=((0,),)),
     PartitionResult(partition=_PARTITION, embedding=((0, 1),), params=_PARAMS),
     _DECOMP,
     EdgeSeparatorResult(edges=(0,), components=(((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))),
@@ -105,64 +103,6 @@ class TestRecords:
         assert OracleLimits(max_vertices_tw=13).max_edges_sep == 20
 
 
-def triangle_instance():
-    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    inst = RootedInstance(c=(2,), roots=((1,), (2,)), model=((0,), (1,)))
-    return g, inst
-
-
-class TestInductionStep:
-    def test_single_vertex_c_gives_complete_root_graph(self):
-        g, inst = triangle_instance()
-        params = Params.for_graph(g, 4)
-        res = induction_step(g, inst, params)
-        assert not isinstance(res, KtCertificate)
-        assert res.parts == ((1,), (2,))
-        assert res.h_edges == ((0, 1),)
-        assert res.root == (0, 1)
-        assert width(res.decomp) <= 1
-
-    def test_tree_covering_all_of_c_completes(self):
-        # C = one edge; the found tree swallows C entirely
-        g = Graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
-        inst = RootedInstance(c=(2, 3), roots=((1,), (2,)), model=((0,), (1,)))
-        params = Params.for_graph(g, 4)
-        res = induction_step(g, inst, params)
-        assert not isinstance(res, KtCertificate)
-        assert len(res.parts) == 3
-        assert set(res.parts) == {(1,), (2,), (3,)}
-        assert len(res.h_edges) == 3          # complete on three parts
-        assert res.root == (0, 1)
-        # universe is E(C) plus the root sets; the U_1-U_2 edge stays outside
-        ok, why = validate_partition(g, res, params, universe=(1, 2, 3))
-        assert ok, why
-
-    def test_grid_instance_end_to_end(self):
-        g = grid(3, 3)
-        x = 0
-        inst = RootedInstance(c=tuple(range(1, 9)),
-                              roots=(tuple(g.adj_eids[x]),),
-                              model=((x,),))
-        params = Params.for_graph(g, 5)
-        res = induction_step(g, inst, params)
-        assert not isinstance(res, KtCertificate)
-        ok, why = validate_partition(g, res, params, universe=range(g.m))
-        assert ok, why
-
-    def test_instance_validation_names_the_clause(self):
-        g, inst = triangle_instance()
-        params = Params.for_graph(g, 4)
-        bad = RootedInstance(c=(2,), roots=((1,), (1,)), model=inst.model)
-        with pytest.raises(ParameterError, match="overlaps"):
-            induction_step(g, bad, params)
-        bad2 = RootedInstance(c=(0, 1, 2), roots=inst.roots, model=inst.model)
-        with pytest.raises(ParameterError, match="proper subset"):
-            induction_step(g, bad2, params)
-        bad3 = RootedInstance(c=(2,), roots=((1,), (2,)), model=((0,), (0,)))
-        with pytest.raises(ParameterError, match="model invalid"):
-            induction_step(g, bad3, params)
-
-
 class TestPartitionLineGraph:
     def test_small_star_fits_one_part(self):
         g = star(5)
@@ -170,6 +110,32 @@ class TestPartitionLineGraph:
         assert res.params.p_value() == 4.0      # p collapses to delta at t=3
         assert res.partition.parts == ((0, 1, 2, 3),)
         assert width(res.partition.decomp) <= 1
+        ok, why = validate_partition(g, res.partition, res.params)
+        assert ok, why
+
+    def test_single_vertex_c_gives_complete_root_graph(self):
+        # the tree (1,) peels vertex 1 off C = {1, 2}; C = {2} then completes
+        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        part = partition_line_graph(g, 4).partition
+        assert part.parts == ((0, 1), (2,))
+        assert part.h_edges == ((0, 1),)
+        assert part.root == (0,)
+        assert width(part.decomp) <= 1
+
+    def test_tree_covering_all_of_c_completes(self):
+        # after vertex 1 is peeled, C = {2, 3} is one edge and the tree is C
+        g = Graph(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
+        res = partition_line_graph(g, 4)
+        assert res.partition.parts == ((0, 1), (2,), (3,))
+        assert res.partition.h_edges == ((0, 1), (0, 2), (1, 2))   # complete H
+        assert res.partition.root == (0,)
+        ok, why = validate_partition(g, res.partition, res.params)
+        assert ok, why
+
+    def test_grid_instance_end_to_end(self):
+        g = grid(3, 3)
+        res = partition_line_graph(g, 5)
+        assert not isinstance(res, KtCertificate)
         ok, why = validate_partition(g, res.partition, res.params)
         assert ok, why
 
@@ -457,6 +423,13 @@ class TestValidatorsPerPart:
             assert validate_partition(g, bad, res.params) == (False, want)
             assert validate_embedding(g, bad, res.embedding, res.params) == \
                 (False, "embedding: adjacent edges in non-adjacent parts")
+
+    def test_an_edge_in_no_part_is_mapped_to_the_wrong_part(self):
+        g = path(3)
+        res = partition_line_graph(g, 5)
+        bad = res.partition._replace(parts=((0,),))
+        assert validate_embedding(g, bad, ((0, 1), (None, 1)), res.params) == \
+            (False, "embedding: edge 1 mapped to the wrong part")
 
     def test_a_large_star_validates(self):
         g = star(20000)

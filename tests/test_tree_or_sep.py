@@ -503,7 +503,8 @@ def _ladder(draw, n):
     if n % 2:                   # an odd vertex hangs off the first corner
         pairs.append((order[-1], rails[0][0]))
     g = Graph(n, pairs)
-    rungs = (g.edge_id(rails[0][0], rails[1][0]), g.edge_id(rails[0][-1], rails[1][-1]))
+    rungs = tuple(g.edges.index(tuple(sorted(pair)))
+                  for pair in ((rails[0][0], rails[1][0]), (rails[0][-1], rails[1][-1])))
     return g, (rails[0][0], rails[1][-1]), rungs
 
 

@@ -154,7 +154,8 @@ class _Builder:
         """New part adjacent to every root part, as a leaf bag under ``node``."""
         clique = self.pids(root_slots)
         new = self.pids((slot,))[0]
-        self.h_edges.update((pid, new) if pid < new else (new, pid) for pid in clique)
+        for pid in clique:
+            self.h_edges.add((pid, new) if pid < new else (new, pid))
         return attach_vertex(self.decomp, node, new, clique)
 
     def glue(self, first: int, second: int, shared_slots) -> int:
@@ -210,9 +211,10 @@ def _split(g: Graph, piece: _Piece, around) -> list:
     ``components`` orders them.
     """
     c = piece.verts
-    seeds = sorted(c.intersection(around))
+    seeds = c.intersection(around)
     if len(seeds) <= 1:
         return [piece]
+    seeds = sorted(seeds)
     owner = dict(zip(seeds, range(len(seeds))))
     alias = list(range(len(seeds)))
     members = [[s] for s in seeds]
@@ -320,7 +322,10 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     """Start one call: its node, a certificate, or None after pushing work."""
     pieces, roots, models, nbrs, parent_measure = call
     h = len(roots)
-    measure = 2 * sum(len(p.verts) for p in pieces) + h
+    if len(pieces) == 1:
+        measure = 2 * len(pieces[0].verts) + h
+    else:
+        measure = 2 * sum(len(p.verts) for p in pieces) + h
     if parent_measure is not None:
         assert measure < parent_measure, "recursion measure failed to decrease"
     t = params.t
@@ -340,8 +345,10 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     for dropped, i in enumerate(empties):
         k = i - dropped
         slot = roots[k]
-        roots, models, nbrs, targets = (x[:k] + x[k + 1:]
-                                        for x in (roots, models, nbrs, targets))
+        roots = roots[:k] + roots[k + 1:]
+        models = models[:k] + models[k + 1:]
+        nbrs = nbrs[:k] + nbrs[k + 1:]
+        del targets[k]
         stack.append(_Attach(roots, slot))
     h -= len(empties)
     measure -= len(empties)
@@ -364,13 +371,17 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
 
     if tos.is_tree():
         tv = frozenset(tos.tree_vertices)
-        e_new = edges_between(g, tv, c)
+        if h == 1:      # the tree (v,): its edges into C are read off v's lists
+            v = tos.tree_vertices[0]
+            e_new = [e for u, e in zip(g.adj[v], g.adj_eids[v]) if u in c]
+        else:
+            e_new = edges_between(g, tv, c)
         assert e_new, "C is connected with |C| > 1, so the tree touches an edge"
         assert params.allows_part_size(len(e_new)), "tree part exceeds the size budget"
         roots2 = roots + (out.slot(e_new),)
         if len(tv) == len(c):               # the tree lies in C, so it is C
             return out.complete(roots2)
-        nb_tv = frozenset(neighborhood(g, tv))
+        nb_tv = frozenset(g.adj[v]) if h == 1 else frozenset(neighborhood(g, tv))
         c -= tv
         if piece.edges is not None:
             piece.edges.difference_update(e_new)
@@ -498,7 +509,8 @@ def validate_partition(g: Graph, p: RootedPartition,
 
     h_set = set()
     for a, b in p.h_edges:
-        if a == b or not (0 <= a < len(p.parts) and 0 <= b < len(p.parts)):
+        if (not isinstance(a, int) or not isinstance(b, int) or a == b
+                or not (0 <= a < len(p.parts) and 0 <= b < len(p.parts))):
             return False, "h-edges: malformed part adjacency"
         h_set.add((a, b) if a < b else (b, a))
     pair = _unjoined_pair(g, part_of, h_set)
@@ -534,7 +546,7 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
     for eid, (pid, slot) in enumerate(embedding):
         if eid not in part_of or part_of[eid] != pid:
             return False, f"embedding: edge {eid} mapped to the wrong part"
-        if not (1 <= slot <= max(p_floor, 1)):
+        if not isinstance(slot, int) or not (1 <= slot <= max(p_floor, 1)):
             return False, f"embedding: slot {slot} outside 1..floor(p)"
         if (pid, slot) in used:
             return False, "embedding: slot reused within a part"

@@ -397,13 +397,9 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
 
 def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep,
                  comps=None, inner=()) -> TreeOrSeparator:
-    res = TreeOrSeparator(
-        flavor="edge", kind=kind, h=len(tsets),
-        c_sep=guarantee_factor(len(tsets)),
-        achieved=len(te) if kind == "tree" else len(sep),
-        tree_vertices=tv, tree_edges=te, separator=sep,
-        fragments=None if comps is None else tuple(comps),
-    )
+    res = TreeOrSeparator("edge", kind, len(tsets), guarantee_factor(len(tsets)),
+                          len(te) if kind == "tree" else len(sep), tv, te, sep,
+                          None if comps is None else tuple(comps))
     _verify_edge(g, tsets, r_exact, work, res, comps, inner)
     return res
 
@@ -417,7 +413,12 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator,
     the search ran on, against which a nonempty separator's size is capped.
     """
     h = len(tsets)
-    if res.kind == "tree":
+    if res.kind == "tree" and not res.tree_edges and len(res.tree_vertices) == 1:
+        v = res.tree_vertices[0]        # the zero-edge tree (v,), read without a copy
+        assert v in work, "tree leaves the working set"
+        for i, t in enumerate(tsets):
+            assert v in t, f"edge tree misses target {i}"
+    elif res.kind == "tree":
         verts = set(res.tree_vertices)
         assert verts <= work, "tree leaves the working set"
         assert len(verts) == len(res.tree_edges) + 1, "tree vertex/edge count"

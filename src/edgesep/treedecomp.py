@@ -159,14 +159,18 @@ def rooted_tree(d: TreeDecomposition) -> tuple[list, list, list]:
 def least_common_node(members, nodes_of, bags) -> Optional[int]:
     """Least node whose bag holds every one of ``members``, or None.
 
-    ``nodes_of[x]`` lists the nodes whose bags hold x in ascending order.
-    The shortest such list is scanned and each of its nodes tested against
-    ``bags``, so a single member costs one lookup.
+    ``members`` is nonempty and ``nodes_of[x]`` lists the nodes whose bags
+    hold x in ascending order.  The shortest such list, the first of equal
+    ones, is scanned and each of its nodes tested against ``bags`` in place,
+    so a single member costs one lookup.
     """
-    shortest = min((nodes_of.get(x, ()) for x in members), key=len)
+    shortest = None
+    for x in members:
+        nodes = nodes_of.get(x, ())
+        if shortest is None or len(nodes) < len(shortest):
+            shortest = nodes
     for node in shortest:
-        bag = bags[node]
-        if all(x in bag for x in members):
+        if _holds(bags[node], members):
             return node
     return None
 
@@ -178,9 +182,9 @@ def glue(d: Decomposition, first: int, second: int, shared: Iterable[int]) -> in
     and ``second``, whose bags must both hold it, and its id is returned.
     Width of the result is max(width of either tree, |shared| - 1).
     """
-    shared = set(shared)
+    shared = tuple(shared)
     for side, node in (("first", first), ("second", second)):
-        if not shared <= set(d.bags[node]):
+        if not _holds(d.bags[node], shared):
             raise ValueError(f"glue: {side} node's bag does not contain the shared clique")
     conn = d.add(shared)
     d.tree_edges += ((conn, first), (conn, second))
@@ -193,13 +197,20 @@ def attach_vertex(d: Decomposition, host: int, v: int, clique: Iterable[int]) ->
     A leaf bag clique + {v} is hung off ``host``, whose bag must contain the
     clique, and the leaf's id is returned.
     """
-    clique = set(clique)
-    if not clique <= set(d.bags[host]):
+    clique = tuple(clique)
+    if not _holds(d.bags[host], clique):
         raise ValueError("attach_vertex: the host bag does not contain the clique")
-    clique.add(v)
-    leaf = d.add(clique)
+    leaf = d.add(clique + (v,))
     d.tree_edges.append((host, leaf))
     return leaf
+
+
+def _holds(bag, members) -> bool:
+    """Whether ``bag`` holds every one of ``members``, tested in place."""
+    for x in members:
+        if x not in bag:
+            return False
+    return True
 
 
 def product_blowup(d: TreeDecomposition,

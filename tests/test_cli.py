@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON shapes, determinism."""
 
+import ast
 import hashlib
 import io
 import json
@@ -79,6 +80,38 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-I", "-S", "-c", probe, src],
                              capture_output=True, text=True, check=True, timeout=60).stdout
         assert out.split() == []
+
+    def test_the_package_imports_only_the_pinned_stdlib_modules(self):
+        # a module-level import adds to every command's start-up; the set is
+        # read from the sources, so it does not depend on the Python version
+        pkg = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src", "edgesep")
+        found = set()
+        for name in sorted(os.listdir(pkg)):
+            if name.endswith(".py"):
+                with open(os.path.join(pkg, name)) as f:
+                    found |= _import_time_modules(ast.parse(f.read()))
+        assert found == {"__future__", "argparse", "collections", "fractions", "hashlib",
+                         "itertools", "json", "math", "random", "sys", "time", "typing"}
+
+
+def _import_time_modules(tree) -> set:
+    """Top-level names of the absolute imports a module runs when imported.
+
+    Everything outside a function body runs at import, class bodies too.
+    """
+    out = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return out
 
 
 class TestPartition:

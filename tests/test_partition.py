@@ -431,6 +431,19 @@ class TestValidatorsPerPart:
         assert validate_embedding(g, bad, ((0, 1), (None, 1)), res.params) == \
             (False, "embedding: edge 1 mapped to the wrong part")
 
+    def test_a_non_integer_slot_lies_outside_the_slot_range(self):
+        g = path(3)
+        res = partition_line_graph(g, 5)
+        assert validate_embedding(g, res.partition, ((1, None), (0, 1)), res.params) == \
+            (False, "embedding: slot None outside 1..floor(p)")
+
+    def test_a_non_integer_h_edge_endpoint_is_malformed(self):
+        g = path(3)
+        res = partition_line_graph(g, 5)
+        bad = res.partition._replace(h_edges=((0, None),))
+        assert validate_partition(g, bad, res.params) == \
+            (False, "h-edges: malformed part adjacency")
+
     def test_a_large_star_validates(self):
         g = star(20000)
         res = partition_line_graph(g, 5)

@@ -301,6 +301,18 @@ class TestContracts:
         if res.is_tree() and all(targets):
             assert report.tree_exists or not res.tree_edges
 
+    # a zero-edge tree (v,) is checked in place, with the general check's messages
+    def test_a_zero_edge_tree_outside_the_working_set_is_refused(self):
+        res = tree_or_sep.TreeOrSeparator("edge", "tree", 1, 1, 0, (3,), (), None)
+        with pytest.raises(AssertionError, match=r"^tree leaves the working set$"):
+            tree_or_sep._verify_edge(path(4), [frozenset({3})], None, {0, 1, 2}, res)
+
+    def test_a_zero_edge_tree_missing_a_target_is_refused(self):
+        res = tree_or_sep.TreeOrSeparator("edge", "tree", 3, 3, 0, (1,), (), None)
+        tsets = [frozenset({1}), frozenset({1, 2}), frozenset({2})]
+        with pytest.raises(AssertionError, match=r"^edge tree misses target 2$"):
+            tree_or_sep._verify_edge(path(4), tsets, None, {0, 1, 2, 3}, res)
+
     @SETTINGS
     @given(lemma_instances())
     def test_vertex_contract_verified_on_every_call(self, inst):

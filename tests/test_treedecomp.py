@@ -8,7 +8,7 @@ from edgesep import (Graph, LineView, attach_vertex, glue, line_graph,
                      partition_line_graph, product_blowup, validate_decomposition,
                      width)
 from edgesep.generators import grid, random_tree
-from edgesep.treedecomp import Decomposition, TreeDecomposition
+from edgesep.treedecomp import Decomposition, TreeDecomposition, least_common_node
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -123,6 +123,93 @@ class TestAttachVertex:
         d = Decomposition()
         with pytest.raises(ValueError, match="does not contain the clique"):
             attach_vertex(d, d.add((0, 1)), 5, (3, 4))
+
+
+def reference_glue(d: Decomposition, first: int, second: int, shared) -> int:
+    """The set-based ``glue`` that the in-place bag test replaced, kept as its reference."""
+    shared = set(shared)
+    for side, node in (("first", first), ("second", second)):
+        if not shared <= set(d.bags[node]):
+            raise ValueError(f"glue: {side} node's bag does not contain the shared clique")
+    conn = d.add(shared)
+    d.tree_edges += ((conn, first), (conn, second))
+    return conn
+
+
+def reference_attach_vertex(d: Decomposition, host: int, v: int, clique) -> int:
+    """The set-based ``attach_vertex`` that the in-place bag test replaced."""
+    clique = set(clique)
+    if not clique <= set(d.bags[host]):
+        raise ValueError("attach_vertex: the host bag does not contain the clique")
+    clique.add(v)
+    leaf = d.add(clique)
+    d.tree_edges.append((host, leaf))
+    return leaf
+
+
+# bags over 0..7 as unsorted lists, which may repeat an element
+BAG_LISTS = st.lists(st.lists(st.integers(0, 7), max_size=5), min_size=1, max_size=6)
+
+
+@st.composite
+def cliques_at(draw, bags):
+    """Ids drawn from one bag, repeats allowed, or from anywhere, with a node."""
+    node = draw(st.integers(0, len(bags) - 1))
+    pool = sorted(set(bags[node])) if bags[node] and draw(st.booleans()) else list(range(10))
+    return node, draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+def _outcome(op, bags, edges, *args):
+    """What ``op`` returns and leaves in a fresh Decomposition, or the error it raises."""
+    d = Decomposition()
+    for bag in bags:
+        d.add(bag)
+    d.tree_edges += edges
+    try:
+        return op(d, *args), d.bags, d.tree_edges
+    except ValueError as e:
+        return str(e), d.bags, d.tree_edges
+
+
+class TestInPlaceBagTests:
+    """``glue``, ``attach_vertex`` and ``least_common_node`` copy no bag."""
+
+    @SETTINGS
+    @given(BAG_LISTS, st.data())
+    def test_attach_vertex_matches_the_set_based_reference(self, bags, data):
+        host, clique = data.draw(cliques_at(bags))
+        v = data.draw(st.integers(0, 10))
+        edges = [(0, i) for i in range(1, len(bags))]
+        assert _outcome(attach_vertex, bags, edges, host, v, tuple(clique)) == \
+            _outcome(reference_attach_vertex, bags, edges, host, v, tuple(clique))
+
+    @SETTINGS
+    @given(BAG_LISTS, st.data())
+    def test_glue_matches_the_set_based_reference(self, bags, data):
+        first, shared = data.draw(cliques_at(bags))
+        second = data.draw(st.integers(0, len(bags) - 1))
+        assert _outcome(glue, bags, [], first, second, iter(shared)) == \
+            _outcome(reference_glue, bags, [], first, second, iter(shared))
+
+    def test_a_repeated_clique_id_is_held_once(self):
+        d = Decomposition()
+        leaf = attach_vertex(d, d.add((1, 2)), 0, (2, 2, 1))
+        conn = glue(d, 0, leaf, [1, 1])
+        assert d.bags == [(1, 2), (0, 1, 2), (1,)] and (leaf, conn) == (1, 2)
+
+    @SETTINGS
+    @given(BAG_LISTS, st.lists(st.integers(0, 9), min_size=1, max_size=4),
+           st.booleans())
+    def test_least_common_node_is_the_least_bag_holding_every_member(self, bags, members,
+                                                                     as_sets):
+        nodes_of: dict = {}
+        for i, bag in enumerate(bags):
+            for x in bag:
+                nodes_of.setdefault(x, []).append(i)
+        want = next((i for i, bag in enumerate(bags) if set(members) <= set(bag)), None)
+        held = [set(b) for b in bags] if as_sets else [tuple(b) for b in bags]
+        assert least_common_node(members, nodes_of, held) == want
+        assert least_common_node(set(members), nodes_of, held) == want
 
 
 class TestProductBlowup:

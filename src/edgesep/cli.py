@@ -121,7 +121,27 @@ def _emit(args, text: str) -> None:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    An indent makes ``json`` encode in pure Python, and a report is mostly
+    lists of ints.  Here such a list is one ``str.join``; a list, tuple or
+    string-keyed dict is laid out as ``json`` lays it out, and any other
+    value is written by ``json.dumps`` and indented to its depth.
+    """
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(x, nl: str) -> str:
+    """``x`` as ``_json`` writes it at the depth whose line break is ``nl``."""
+    if isinstance(x, (list, tuple)) and x:
+        inner = nl + "  "
+        items = map(str, x) if set(map(type, x)) == {int} else [_dump(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(x, dict) and x and all(type(k) is str for k in x):
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [json.dumps(k) + ": " + _dump(v, inner) for k, v in sorted(x.items())]) + nl + "}"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _decomp_json(d: TreeDecomposition) -> dict:

@@ -20,6 +20,27 @@ MAX_VERTICES_PER_CHAR = 16
 
 
 def parse_graph(text: str) -> Graph:
+    """The graph of .gr text; a defect is a FormatError that names its line.
+
+    Text made of the header line and then one edge per line, with no
+    comment or blank line, is read as one list of tokens, and ``Graph``
+    checks its edges.  Any other text, and any defect, is read line by line.
+    """
+    lines = text.splitlines()
+    head = lines[0].split() if lines else ()
+    if (len(head) == 4 and head[0] == "p" and head[1] == "tw"
+            and not set(map(len, map(str.split, lines[1:]))) - {2}):
+        try:
+            n, m = int(head[2]), int(head[3])
+            if 0 <= n <= MAX_VERTICES_PER_CHAR * len(text) and m == len(lines) - 1:
+                ends = iter([int(x) - 1 for x in text.split()[4:]])
+                return Graph(n, zip(ends, ends))
+        except ValueError:
+            pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
     n = m = None
     edges = []
     seen = set()

@@ -105,11 +105,15 @@ class PartitionResult(NamedTuple):
 
 # ---------------------------------------------------------------- recursion
 #
-# The recursion runs as one loop over an explicit stack of calls and
-# continuations, so its depth costs heap, not interpreter frames.  Every call
-# owns the vertex set of its C and hands it on to at most one child, which
-# shrinks it in place.  H and its decomposition grow in a single builder that
-# is frozen once; the ids it hands out are the ones the textbook formulation
+# The recursion runs as one loop, so its depth costs heap, not interpreter
+# frames.  A call is a plain tuple (pieces, roots, models, nbrs, parent
+# measure).  Every call owns the vertex set of its C and hands it on to at
+# most one child, which shrinks it in place.  A step hands back the call to
+# enter next, its own tree child or the first child of a split, so a path or
+# a tree is peeled in place and no call is ever pushed: the stack holds only
+# the continuations that wait for a node, attaches as (roots, slot) pairs and
+# ``_Join``s.  H and its decomposition grow in a single builder that is
+# frozen once; the ids it hands out are the ones the textbook formulation
 # (each call returns its own partition, parents relabel and glue) produces.
 
 class _Builder:
@@ -124,24 +128,22 @@ class _Builder:
         self.parts: list = []
         self.h_edges: set = set()
         self.decomp = Decomposition()
-        self._slot_edges: list = []
-        self._slot_pid: list = []
+        self._slots: list = []      # per slot: its edge set, then its part id
 
     def slot(self, edges) -> int:
-        self._slot_edges.append(edges)
-        self._slot_pid.append(None)
-        return len(self._slot_pid) - 1
+        self._slots.append(edges)
+        return len(self._slots) - 1
 
-    def pids(self, slots) -> tuple:
-        out = []
-        for s in slots:
-            pid = self._slot_pid[s]
-            if pid is None:
-                pid = self._slot_pid[s] = len(self.parts)
-                self.parts.append(tuple(sorted(self._slot_edges[s])))
-                self._slot_edges[s] = None
-            out.append(pid)
-        return tuple(out)
+    def pid(self, s: int) -> int:
+        x = self._slots[s]
+        if type(x) is int:
+            return x
+        pid = self._slots[s] = len(self.parts)
+        self.parts.append(tuple(sorted(x)))
+        return pid
+
+    def pids(self, slots) -> list:
+        return [self.pid(s) for s in slots]
 
     def complete(self, slots) -> int:
         """Complete H on the given root parts, in one bag."""
@@ -152,8 +154,11 @@ class _Builder:
 
     def attach(self, node: int, root_slots, slot: int) -> int:
         """New part adjacent to every root part, as a leaf bag under ``node``."""
-        clique = self.pids(root_slots)
-        new = self.pids((slot,))[0]
+        clique = []
+        for s in root_slots:
+            x = self._slots[s]
+            clique.append(x if type(x) is int else self.pid(s))
+        new = self.pid(slot)
         for pid in clique:
             self.h_edges.add((pid, new) if pid < new else (new, pid))
         return attach_vertex(self.decomp, node, new, clique)
@@ -164,7 +169,8 @@ class _Builder:
     def freeze(self, root_slots, node: Optional[int]) -> RootedPartition:
         return RootedPartition(parts=tuple(self.parts),
                                h_edges=tuple(sorted(self.h_edges)),
-                               root=self.pids(root_slots), decomp=self.decomp.freeze(node))
+                               root=tuple(self.pids(root_slots)),
+                               decomp=self.decomp.freeze(node))
 
 
 class _Piece:
@@ -273,122 +279,113 @@ def _split(g: Graph, piece: _Piece, around) -> list:
     return pieces
 
 
-class _Call(NamedTuple):
-    """One recursion instance: C as known-connected pieces, roots as slots."""
-
-    pieces: list
-    roots: tuple
-    models: tuple
-    nbrs: tuple
-    parent_measure: Optional[int]
-
-
-class _Attach(NamedTuple):
-    """Hang the part of ``slot`` off the node below, adjacent to the ``roots`` parts."""
-
-    roots: tuple
-    slot: int
-
-    def resume(self, out, node, stack):
-        return out.attach(node, self.roots, self.slot)
-
-
 class _Join:
     """Child calls run in order; their nodes glue along the parts of ``shared``.
 
-    Each child is a tuple of stack items, pushed in order with its call
-    last, so an ``_Attach`` before the call acts on the call's node before
-    that node is glued.
+    Each child is an (attach or None, call) pair.  Launching a child pushes
+    the join and then the child's attach, and hands back its call, so the
+    attach acts on the call's node before that node is glued.
     """
+
+    __slots__ = ("todo", "shared", "acc")
 
     def __init__(self, children: list, shared: tuple):
         self.todo = children[::-1]
         self.shared = shared
         self.acc = None
 
-    def launch(self, stack) -> None:
+    def launch(self, stack) -> tuple:
         stack.append(self)
-        stack += self.todo.pop()
+        attach, call = self.todo.pop()
+        if attach is not None:
+            stack.append(attach)
+        return call
 
     def resume(self, out, node, stack):
         self.acc = node if self.acc is None else out.glue(self.acc, node, self.shared)
-        if not self.todo:
-            return self.acc
-        self.launch(stack)
-        return None
+        return self.launch(stack) if self.todo else self.acc
 
 
-def _enter(g, params, out: _Builder, call: _Call, stack):
-    """Start one call: its node, a certificate, or None after pushing work."""
+def _enter(g, params, out: _Builder, call: tuple, stack):
+    """One step of ``call``: its node, a certificate, or the next call to enter.
+
+    Work that waits for a node is pushed on ``stack``.
+    """
     pieces, roots, models, nbrs, parent_measure = call
     h = len(roots)
-    if len(pieces) == 1:
-        measure = 2 * len(pieces[0].verts) + h
-    else:
-        measure = 2 * sum(len(p.verts) for p in pieces) + h
-    if parent_measure is not None:
-        assert measure < parent_measure, "recursion measure failed to decrease"
-    t = params.t
-
     if len(pieces) > 1:
-        _Join([(_Call([p], roots, models, nbrs, measure),) for p in pieces],
-              roots).launch(stack)
-        return None
+        measure = 2 * sum(len(p.verts) for p in pieces) + h
+        assert measure < parent_measure, "recursion measure failed to decrease"
+        return _Join([(None, ([p], roots, models, nbrs, measure)) for p in pieces],
+                     roots).launch(stack)
 
     piece = pieces[0]
     c = piece.verts
-    targets = [c & nb for nb in nbrs]       # A_i = V(C) ∩ N(U_i)
-    empties = [i for i, a in enumerate(targets) if not a]
-    assert len(empties) < h, "a proper C inside a connected component neighbors some U_i"
-    # drop each root with an empty target, the first one left each time; the
-    # stack attaches its part back to the node the call ends in, last first
-    for dropped, i in enumerate(empties):
-        k = i - dropped
-        slot = roots[k]
-        roots = roots[:k] + roots[k + 1:]
-        models = models[:k] + models[k + 1:]
-        nbrs = nbrs[:k] + nbrs[k + 1:]
-        del targets[k]
-        stack.append(_Attach(roots, slot))
-    h -= len(empties)
-    measure -= len(empties)
+    measure = 2 * len(c) + h
+    assert measure < parent_measure, "recursion measure failed to decrease"
+    targets = []                            # A_i = V(C) ∩ N(U_i)
+    for nb in nbrs:
+        targets.append(c & nb)
+    if not all(targets):
+        assert any(targets), "a proper C inside a connected component neighbors some U_i"
+        # drop each root with an empty target, the first one left each time;
+        # the stack attaches its part back to the node the call ends in, last
+        # first
+        k = 0
+        while k < len(targets):
+            if targets[k]:
+                k += 1
+                continue
+            slot = roots[k]
+            roots = roots[:k] + roots[k + 1:]
+            models = models[:k] + models[k + 1:]
+            nbrs = nbrs[:k] + nbrs[k + 1:]
+            del targets[k]
+            stack.append((roots, slot))
+        h = len(roots)
+        measure = 2 * len(c) + h
 
     # C connected and every A_i nonempty: (U_1..U_h, V(C)) is a K_{h+1}-model.
     # A call enters with h <= t - 1: a tree child has one root more than a
     # step that passed this test, so here h + 1 = t
-    if h >= t - 1:
+    if h >= params.t - 1:
         sets = tuple(tuple(sorted(u)) for u in models) + (tuple(sorted(c)),)
-        return KtCertificate(sets, t)
+        return KtCertificate(sets, params.t)
 
     if len(c) == 1:
         return out.complete(roots)
 
-    if h == 1:
-        tos = _one_target_tree(g, targets, c)
+    if h == 1:      # the tree (v,): its edges into C are read off v's lists
+        v = _one_target_tree(g, targets, c)
+        tv = (v,)
+        e_new = []
+        for u, e in zip(g.adj[v], g.adj_eids[v]):
+            if u in c:
+                e_new.append(e)
     else:   # C is connected with |C| > 1, so no vertex of it is isolated in E(C)
         tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c,
                                      inner=piece.inner_edges(g))
+        if not tos.is_tree():
+            return _separate(g, params, out, piece, tos, targets, roots, models,
+                             nbrs, measure, stack)
+        tv = tos.tree_vertices
+        e_new = edges_between(g, tv, c)
+    assert e_new, "C is connected with |C| > 1, so the tree touches an edge"
+    assert params.allows_part_size(len(e_new)), "tree part exceeds the size budget"
+    roots += (out.slot(e_new),)
+    if len(tv) == len(c):                   # the tree lies in C, so it is C
+        return out.complete(roots)
+    nb_tv = frozenset(g.adj[v]) if h == 1 else frozenset(neighborhood(g, tv))
+    c.difference_update(tv)
+    if piece.edges is not None:
+        piece.edges.difference_update(e_new)
+    return _split(g, piece, nb_tv), roots, models + (tv,), nbrs + (nb_tv,), measure
 
-    if tos.is_tree():
-        tv = frozenset(tos.tree_vertices)
-        if h == 1:      # the tree (v,): its edges into C are read off v's lists
-            v = tos.tree_vertices[0]
-            e_new = [e for u, e in zip(g.adj[v], g.adj_eids[v]) if u in c]
-        else:
-            e_new = edges_between(g, tv, c)
-        assert e_new, "C is connected with |C| > 1, so the tree touches an edge"
-        assert params.allows_part_size(len(e_new)), "tree part exceeds the size budget"
-        roots2 = roots + (out.slot(e_new),)
-        if len(tv) == len(c):               # the tree lies in C, so it is C
-            return out.complete(roots2)
-        nb_tv = frozenset(g.adj[v]) if h == 1 else frozenset(neighborhood(g, tv))
-        c -= tv
-        if piece.edges is not None:
-            piece.edges.difference_update(e_new)
-        stack.append(_Call(_split(g, piece, nb_tv), roots2, models + (tv,),
-                           nbrs + (nb_tv,), measure))
-        return None
 
+def _separate(g, params, out: _Builder, piece: _Piece, tos, targets, roots,
+              models, nbrs, measure, stack) -> tuple:
+    """The separator step of ``_enter``: one child per component of C - F."""
+    c = piece.verts
     comps: list = []                # the components of C - F
     f = frozenset(minimalize_edge_separator(g, tos.separator, targets, within=c,
                                             classes=comps, fragments=tos.fragments))
@@ -401,8 +398,8 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     grown = {}
     for k in set(missing):
         x = frozenset(v for other in comps if other & targets[k] for v in other)
-        u2 = models[k] | x
-        grown[k] = (u2, (nbrs[k] | frozenset(neighborhood(g, x))) - u2)
+        u2 = x.union(models[k])
+        grown[k] = (u2, frozenset(neighborhood(g, x)).union(nbrs[k]) - u2)
     # E(C), built for the search, less F: each edge lies in one piece
     piece_of = {v: i for i, cset in enumerate(comps) for v in cset}
     inner: list = [set() for _ in comps]
@@ -413,27 +410,33 @@ def _enter(g, params, out: _Builder, call: _Call, stack):
     for cset, k, edges in zip(comps, missing, inner):
         sub_roots = roots[:k] + (f_slot,) + roots[k + 1:]
         u2, nb2 = grown[k]
-        children.append((_Attach(sub_roots, roots[k]),
-                         _Call([_Piece(cset, edges)], sub_roots,
-                               models[:k] + (u2,) + models[k + 1:],
-                               nbrs[:k] + (nb2,) + nbrs[k + 1:], measure)))
-    _Join(children, (f_slot,) + roots).launch(stack)
-    return None
+        children.append(((sub_roots, roots[k]),
+                         ([_Piece(cset, edges)], sub_roots,
+                          models[:k] + (u2,) + models[k + 1:],
+                          nbrs[:k] + (nb2,) + nbrs[k + 1:], measure)))
+    return _Join(children, (f_slot,) + roots).launch(stack)
 
 
-def _run(g, params, out: _Builder, call: _Call):
-    """Drive one instance to its decomposition node, or to a certificate."""
-    stack = [call]
-    node = None
-    while stack:
-        item = stack.pop()
-        if isinstance(item, _Call):
-            node = _enter(g, params, out, item, stack)
-        else:
-            node = item.resume(out, node, stack)
-        if isinstance(node, KtCertificate):
-            return node
-    return node
+def _run(g, params, out: _Builder, call: tuple):
+    """Drive one instance to its decomposition node, or to a certificate.
+
+    ``x`` is a call to enter (a plain tuple), a finished node (an int), which
+    the stack's continuations take until one hands back a call, or a
+    certificate.
+    """
+    stack: list = []
+    x = call
+    while True:
+        x = _enter(g, params, out, x, stack)
+        while type(x) is int and stack:
+            item = stack.pop()
+            if type(item) is tuple:
+                roots, slot = item
+                x = out.attach(x, roots, slot)
+            else:
+                x = item.resume(out, x, stack)
+        if type(x) is not tuple:
+            return x
 
 
 # ---------------------------------------------------------------- public ops
@@ -454,9 +457,9 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
             continue
         x = comp[0]
         sub_roots = (out.slot(frozenset(g.adj_eids[x])),)
-        sub = _run(g, params, out, _Call(
-            _split(g, _Piece(set(comp[1:])), g.adj[x]), sub_roots,
-            (frozenset((x,)),), (frozenset(g.adj[x]),), None))
+        # the component before its first root measures 2|comp|
+        sub = _run(g, params, out, (_split(g, _Piece(set(comp[1:])), g.adj[x]), sub_roots,
+                                    ((x,),), (frozenset(g.adj[x]),), 2 * len(comp)))
         if isinstance(sub, KtCertificate):
             return sub
         if node is None:
@@ -519,7 +522,8 @@ def validate_partition(g: Graph, p: RootedPartition,
                        f"{pair[0]},{pair[1]} in non-adjacent parts")
     for i, a in enumerate(p.root):
         for b in p.root[i + 1:]:
-            if ((a, b) if a < b else (b, a)) not in h_set:
+            if (not isinstance(a, int) or not isinstance(b, int)
+                    or ((a, b) if a < b else (b, a)) not in h_set):
                 return False, "root clique: root parts not pairwise adjacent"
     hg = Graph(len(p.parts), h_set)
     ok, why = validate_decomposition(hg, p.decomp)

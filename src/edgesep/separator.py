@@ -39,7 +39,7 @@ def check_weights(g: Graph, w) -> int:
     for i, x in enumerate(w):
         if not isinstance(x, Fraction):
             raise ParameterError("weights must be exact rationals")
-        num, den = x.numerator, x.denominator
+        num, den = x.as_integer_ratio()
         if num < 0 or 2 * num > den:            # den > 0: x < 0 or x > 1/2
             raise ParameterError(f"weight of vertex {i} outside [0, 1/2]")
         sums[den] = sums.get(den, 0) + num
@@ -90,7 +90,7 @@ def _sink_separator(g: Graph, res: PartitionResult, w, lcd: int) -> EdgeSeparato
     part = res.partition
     bound_used = (params.t - 1) * params.p_floor()
     reference_bound = (params.t - 1) * params.reference_p_floor()
-    loads = [x.numerator * (lcd // x.denominator) for x in w]
+    loads = [num * (lcd // den) for num, den in map(Fraction.as_integer_ratio, w)]
 
     if part.decomp.n_nodes == 0:
         return EdgeSeparatorResult(edges=(), components=_weighed(components(g), loads, lcd),
@@ -130,25 +130,39 @@ def _anchor_vertices(g: Graph, part) -> tuple:
     form a clique of H and some bag of H's decomposition contains them all;
     searching the part-level bags is equivalent to searching the blown-up
     ones and much cheaper.  Isolated vertices anchor at the designated node.
+
+    A node that holds every part at x is no smaller than the least node of
+    each, so two passes over the edges find u(x): the first takes the
+    largest of those least nodes, the second keeps it wherever its bag holds
+    every part at x.  Only the other vertices scan a part's nodes.
     """
-    part_of = {}
+    bags = part.decomp.bags
+    part_of = [0] * g.m
     for pid, edge_set in enumerate(part.parts):
         for e in edge_set:
             part_of[e] = pid
     nodes_of_part: dict[int, list] = {}
-    for node, bag in enumerate(part.decomp.bags):
+    for node, bag in enumerate(bags):
         for pid in bag:
             nodes_of_part.setdefault(pid, []).append(node)
     fallback = part.decomp.designated if part.decomp.designated is not None else 0
-    anchors = []
-    for v in range(g.n):
-        pids = {part_of[e] for e in g.adj_eids[v]}
-        if not pids:
-            anchors.append(fallback)
-            continue
-        node = least_common_node(pids, nodes_of_part, part.decomp.bags)
+    anchors = [-1 if eids else fallback for eids in g.adj_eids]
+    for (u, v), pid in zip(g.edges, part_of):
+        node = nodes_of_part[pid][0]
+        if anchors[u] < node:
+            anchors[u] = node
+        if anchors[v] < node:
+            anchors[v] = node
+    misses = set()
+    for (u, v), pid in zip(g.edges, part_of):
+        if pid not in bags[anchors[u]]:
+            misses.add(u)
+        if pid not in bags[anchors[v]]:
+            misses.add(v)
+    for v in sorted(misses):
+        node = least_common_node({part_of[e] for e in g.adj_eids[v]}, nodes_of_part)
         assert node is not None, f"no bag holds the edge clique of vertex {v}"
-        anchors.append(node)
+        anchors[v] = node
     return tuple(anchors)
 
 

@@ -333,7 +333,8 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
         # tiny budgets make the reduction illegal; a single target vertex is
         # already a zero-edge tree
         if tsets[0]:
-            return _one_target_tree(g, tsets, work)
+            v = _one_target_tree(g, tsets, work)
+            return TreeOrSeparator("edge", "tree", 1, 1, 0, (v,), (), None, None)
         return _finish_edge(g, tsets, Budget.of(r), work, "separator", None, None, ())
 
     r_exact = Budget.of(r)
@@ -375,12 +376,16 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
                         comps, eid_set)
 
 
-def _one_target_tree(g: Graph, targets, work) -> TreeOrSeparator:
-    """The checked tree (min(A_1),) for one nonempty target inside ``work``.
+def _one_target_tree(g: Graph, targets, work) -> int:
+    """v = min(A_1), checked as the tree (v,) for one nonempty target in ``work``.
 
-    Both are read as they are; no budget binds a zero-edge tree.
+    Both are read as they are; no budget binds a zero-edge tree.  The check
+    reads the result's fields as a plain tuple, which ``_verify_edge``
+    accepts, so no ``TreeOrSeparator`` is built.
     """
-    return _finish_edge(g, targets, None, work, "tree", (min(targets[0]),), (), None)
+    v = min(targets[0])
+    _verify_edge(g, targets, None, work, ("edge", "tree", 1, 1, 0, (v,), (), None, None))
+    return v
 
 
 def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
@@ -408,33 +413,35 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator,
                  comps=None, inner=()) -> None:
     """Exact re-check of the edge contract; AssertionError means a bug.
 
+    ``res`` is a ``TreeOrSeparator`` or the plain tuple of its fields.
     ``comps``, when given, are the components of the working graph minus a
     separator outcome, already computed by the caller; ``inner`` is the E(C)
     the search ran on, against which a nonempty separator's size is capped.
     """
+    _, kind, _, c_sep, _, tree_vertices, tree_edges, separator, _ = res
     h = len(tsets)
-    if res.kind == "tree" and not res.tree_edges and len(res.tree_vertices) == 1:
-        v = res.tree_vertices[0]        # the zero-edge tree (v,), read without a copy
+    if kind == "tree" and not tree_edges and len(tree_vertices) == 1:
+        v = tree_vertices[0]            # the zero-edge tree (v,), read without a copy
         assert v in work, "tree leaves the working set"
         for i, t in enumerate(tsets):
             assert v in t, f"edge tree misses target {i}"
-    elif res.kind == "tree":
-        verts = set(res.tree_vertices)
+    elif kind == "tree":
+        verts = set(tree_vertices)
         assert verts <= work, "tree leaves the working set"
-        assert len(verts) == len(res.tree_edges) + 1, "tree vertex/edge count"
-        if res.tree_edges:
-            pairs = [g.endpoints(e) for e in res.tree_edges]
+        assert len(verts) == len(tree_edges) + 1, "tree vertex/edge count"
+        if tree_edges:
+            pairs = [g.endpoints(e) for e in tree_edges]
             seen, _ = _span(pairs, min(verts))
             assert seen == verts, "edge tree is not connected"
-            assert len(res.tree_edges) <= r_exact, "edge tree exceeds the budget"
+            assert len(tree_edges) <= r_exact, "edge tree exceeds the budget"
         for i, t in enumerate(tsets):
             assert verts & t, f"edge tree misses target {i}"
     else:
-        f = set(res.separator)
+        f = set(separator)
         assert all(u in work and v in work for u, v in map(g.endpoints, f)), \
             "separator uses edges outside the view"
         if f:
-            cap = res.c_sep * (h - 1) * len(inner)
+            cap = c_sep * (h - 1) * len(inner)
             assert r_exact * len(f) <= cap, "edge separator exceeds its size bound"
         if comps is None:
             comps = components(g, within=work, banned_edges=f)

@@ -95,30 +95,34 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
     if covered != set(range(g.n)):
         return False, "vertex coverage: some vertex appears in no bag"
 
-    bag_sets = [set(b) for b in d.bags]
+    # every test reads the ascending node lists; no bag is copied into a set
     nodes_of: dict[int, list[int]] = {}
     for i, bag in enumerate(d.bags):
         for v in bag:
             nodes_of.setdefault(v, []).append(i)
     if not isinstance(g, LineView):
         pairs = g.edges
-    elif all(len(es) < 2 or least_common_node(es, nodes_of, bag_sets) is not None
+    elif all(len(es) < 2 or least_common_node(es, nodes_of) is not None
              for es in g.g.adj_eids):
         pairs = ()
     else:
         pairs = g.edge_pairs()
-    for u, v in pairs:
-        if not any(v in bag_sets[i] for i in nodes_of.get(u, ())):
+    held = (None, None)             # the first end of the pairs and its node set
+    for u, v in pairs:              # ascending, so each first end comes in one run
+        if held[0] != u:
+            held = (u, set(nodes_of[u]))
+        if held[1].isdisjoint(nodes_of[v]):
             return False, f"edge coverage: edge ({u},{v}) in no bag"
 
     # the nodes holding v are connected exactly when one of them is a top:
     # the root, or a node whose parent's bag lacks v.  A bag that repeats v
     # lists its node twice in a row, so a repeat of the last top is skipped.
     for v, nodes in nodes_of.items():
+        holding = set(nodes)
         top = -1
         for i in nodes:
             p = parent[i]
-            if (p < 0 or v not in bag_sets[p]) and i != top:
+            if (p < 0 or p not in holding) and i != top:
                 if top >= 0:
                     return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
                 top = i
@@ -126,7 +130,7 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
     if d.designated is not None:
         if not (0 <= d.designated < k):
             return False, "designated bag: designated node out of range"
-        if d.root_clique is not None and not set(d.root_clique) <= bag_sets[d.designated]:
+        if d.root_clique is not None and not set(d.root_clique) <= set(d.bags[d.designated]):
             return False, "designated bag: designated bag misses the root clique"
     return True, None
 
@@ -156,23 +160,22 @@ def rooted_tree(d: TreeDecomposition) -> tuple[list, list, list]:
     return nbrs, parent, order
 
 
-def least_common_node(members, nodes_of, bags) -> Optional[int]:
+def least_common_node(members, nodes_of) -> Optional[int]:
     """Least node whose bag holds every one of ``members``, or None.
 
     ``members`` is nonempty and ``nodes_of[x]`` lists the nodes whose bags
-    hold x in ascending order.  The shortest such list, the first of equal
-    ones, is scanned and each of its nodes tested against ``bags`` in place,
-    so a single member costs one lookup.
+    hold x.  The lists are intersected, the first as a set and the rest as
+    read, so no bag is copied or scanned.
     """
-    shortest = None
+    common = None
     for x in members:
-        nodes = nodes_of.get(x, ())
-        if shortest is None or len(nodes) < len(shortest):
-            shortest = nodes
-    for node in shortest:
-        if _holds(bags[node], members):
-            return node
-    return None
+        if common is None:
+            common = set(nodes_of.get(x, ()))
+        else:
+            common.intersection_update(nodes_of.get(x, ()))
+        if not common:
+            return None
+    return min(common)
 
 
 def glue(d: Decomposition, first: int, second: int, shared: Iterable[int]) -> int:
@@ -197,10 +200,12 @@ def attach_vertex(d: Decomposition, host: int, v: int, clique: Iterable[int]) ->
     A leaf bag clique + {v} is hung off ``host``, whose bag must contain the
     clique, and the leaf's id is returned.
     """
-    clique = tuple(clique)
-    if not _holds(d.bags[host], clique):
+    members = set(clique)
+    if not _holds(d.bags[host], members):
         raise ValueError("attach_vertex: the host bag does not contain the clique")
-    leaf = d.add(clique + (v,))
+    members.add(v)
+    d.bags.append(tuple(sorted(members)))
+    leaf = len(d.bags) - 1
     d.tree_edges.append((host, leaf))
     return leaf
 

@@ -636,6 +636,38 @@ class TestDeterminism:
 
 
 
+# JSON values as reports hold them, and the corners json.dumps treats apart
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=2 ** 63, max_value=2 ** 80),
+    st.integers(min_value=2 ** 63, max_value=2 ** 80).map(lambda x: -x),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x7féΩ😀 /'), max_size=8),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers(), max_size=6),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(alphabet='ab"\\\né_', max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonEmitter:
+    """Reports are written by ``cli._json``, byte for byte ``json.dumps``'s layout."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_the_emitter_writes_the_bytes_json_dumps_writes(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [[], {}, [[]], {"a": [[], [{}]]}, [True, 1, False],
+                                       {1: "int key"}, {"k": {None: 0}}, (1, (2, 3)),
+                                       [float("nan"), float("inf"), -float("inf"), -0.0]])
+    def test_corner_values(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 class TestNoLineGraph:
     """No command builds L(G); its size grows with the square of the degree."""
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesep import Graph, has_kt_minor, max_degree, validate_decomposition
+from edgesep import Graph, formats, has_kt_minor, max_degree, validate_decomposition
 from edgesep.errors import FormatError, ParameterError
 from edgesep.formats import (MAX_VERTICES_PER_CHAR, emit_decomposition, emit_graph,
                              graph_digest, parse_decomposition, parse_graph, parse_weights)
@@ -160,6 +160,54 @@ class TestHostileText:
         except FormatError:
             return
         assert len(w) == n and all(isinstance(x, Fraction) for x in w)
+
+
+GAPS = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def plain_graph_texts(draw):
+    """Valid .gr text with no comment or blank line, spaced and ordered at random."""
+    n = draw(st.integers(0, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    lines = ["p" + draw(GAPS) + "tw" + draw(GAPS) + str(n) + draw(GAPS) + str(len(edges))]
+    for a, b in edges:
+        if draw(st.booleans()):
+            a, b = b, a
+        lines.append(draw(st.sampled_from(["", " ", "+"])) + str(a + 1) + draw(GAPS)
+                     + str(b + 1) + draw(st.sampled_from(["", " ", "\t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestPlainGraphText:
+    """Comment-free .gr text is read at once, to the graph the line reader builds."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(plain_graph_texts())
+    def test_the_fast_path_returns_the_line_readers_graph(self, text):
+        want = formats._parse_lines(text)
+
+        def refuse(text):
+            raise AssertionError("plain text fell back to the line reader")
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(formats, "_parse_lines", refuse)
+            assert parse_graph(text) == want
+
+    @pytest.mark.parametrize("text, error", [
+        ("p tw 3 2\n1 2\n2 2\n", "line 3: self-loop"),
+        ("p tw 3 2\n1 2\n2 1\n", "line 3: duplicate edge"),
+        ("p tw 3 1\n1 4\n", "line 2: endpoint out of range"),
+        ("p tw 3 2\n1 2 3\n3\n", "line 2: malformed edge line"),
+        ("p tw 3 2\n1 2 3\n1\n", "line 2: malformed edge line"),
+        ("p tw 3 2\n1 2\n", "header announced 2 edges, found 1"),
+        ("p tw -3 0\n", "line 1: negative header fields"),
+        ("p tw 3 1\n1 x\n", "line 2: non-integer edge endpoints"),
+    ])
+    def test_a_defect_is_named_by_the_line_reader(self, text, error):
+        with pytest.raises(FormatError, match=error):
+            parse_graph(text)
 
 
 class TestGenerators:

@@ -226,12 +226,14 @@ class TestRecursion:
         enter = engine._enter
 
         def counted(g, params, out, call, stack):
-            if len(call.pieces) == 1:
-                c = call.pieces[0].verts
-                empty = sum(1 for nb in call.nbrs if c.isdisjoint(nb))
+            pieces, _, _, nbrs, _ = call
+            if len(pieces) == 1:
+                c = pieces[0].verts
+                empty = sum(1 for nb in nbrs if c.isdisjoint(nb))
                 before = len(stack)
                 node = enter(g, params, out, call, stack)
-                attached = sum(isinstance(x, engine._Attach) for x in stack[before:])
+                # an attach waits on the stack as a (roots, slot) pair
+                attached = sum(type(x) is tuple for x in stack[before:])
                 drops.append((empty, attached))
                 return node
             return enter(g, params, out, call, stack)
@@ -443,6 +445,13 @@ class TestValidatorsPerPart:
         bad = res.partition._replace(h_edges=((0, None),))
         assert validate_partition(g, bad, res.params) == \
             (False, "h-edges: malformed part adjacency")
+
+    def test_a_non_integer_root_entry_breaks_the_root_clique(self):
+        g = path(3)
+        res = partition_line_graph(g, 5)
+        bad = res.partition._replace(root=(0, None))
+        assert validate_partition(g, bad, res.params) == \
+            (False, "root clique: root parts not pairwise adjacent")
 
     def test_a_large_star_validates(self):
         g = star(20000)

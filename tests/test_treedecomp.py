@@ -8,7 +8,7 @@ from edgesep import (Graph, LineView, attach_vertex, glue, line_graph,
                      partition_line_graph, product_blowup, validate_decomposition,
                      width)
 from edgesep.generators import grid, random_tree
-from edgesep.treedecomp import Decomposition, TreeDecomposition, least_common_node
+from edgesep.treedecomp import Decomposition, TreeDecomposition, least_common_node, rooted_tree
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -198,18 +198,15 @@ class TestInPlaceBagTests:
         assert d.bags == [(1, 2), (0, 1, 2), (1,)] and (leaf, conn) == (1, 2)
 
     @SETTINGS
-    @given(BAG_LISTS, st.lists(st.integers(0, 9), min_size=1, max_size=4),
-           st.booleans())
-    def test_least_common_node_is_the_least_bag_holding_every_member(self, bags, members,
-                                                                     as_sets):
+    @given(BAG_LISTS, st.lists(st.integers(0, 9), min_size=1, max_size=4))
+    def test_least_common_node_is_the_least_bag_holding_every_member(self, bags, members):
         nodes_of: dict = {}
         for i, bag in enumerate(bags):
             for x in bag:
                 nodes_of.setdefault(x, []).append(i)
         want = next((i for i, bag in enumerate(bags) if set(members) <= set(bag)), None)
-        held = [set(b) for b in bags] if as_sets else [tuple(b) for b in bags]
-        assert least_common_node(members, nodes_of, held) == want
-        assert least_common_node(set(members), nodes_of, held) == want
+        assert least_common_node(members, nodes_of) == want
+        assert least_common_node(set(members), nodes_of) == want
 
 
 class TestProductBlowup:
@@ -434,3 +431,131 @@ class TestSubtreeConnectivity:
             v = first_disconnected_element(d)
             assert (ok, why) == ((True, None) if v is None else (
                 False, f"subtree connectivity: vertex {v} spans a disconnected node set"))
+
+
+def reference_validate_decomposition(g, d: TreeDecomposition):
+    """The ``validate_decomposition`` that copied every bag into a set.
+
+    Kept as the oracle of the set-free checks, which must return the same
+    verdict and the same first violation.
+    """
+    k = d.n_nodes
+    for a, b in d.tree_edges:
+        if not (0 <= a < k and 0 <= b < k) or a == b:
+            return False, "tree structure: bad tree edge"
+    if len(set(tuple(sorted(e)) for e in d.tree_edges)) != len(d.tree_edges):
+        return False, "tree structure: duplicate tree edge"
+    if k > 0 and len(d.tree_edges) != k - 1:
+        return False, "tree structure: edge count is not nodes-1"
+    _, parent, order = rooted_tree(d)
+    if len(order) != k:
+        return False, "tree structure: tree is disconnected"
+
+    covered: set = set()
+    for bag in d.bags:
+        for v in bag:
+            if not (0 <= v < g.n):
+                return False, f"vertex coverage: bag element {v} out of range"
+        covered.update(bag)
+    if covered != set(range(g.n)):
+        return False, "vertex coverage: some vertex appears in no bag"
+
+    bag_sets = [set(b) for b in d.bags]
+    nodes_of: dict = {}
+    for i, bag in enumerate(d.bags):
+        for v in bag:
+            nodes_of.setdefault(v, []).append(i)
+    if not isinstance(g, LineView):
+        pairs = g.edges
+    elif all(len(es) < 2 or _scanned_least_common_node(es, nodes_of, bag_sets) is not None
+             for es in g.g.adj_eids):
+        pairs = ()
+    else:
+        pairs = g.edge_pairs()
+    for u, v in pairs:
+        if not any(v in bag_sets[i] for i in nodes_of.get(u, ())):
+            return False, f"edge coverage: edge ({u},{v}) in no bag"
+
+    for v, nodes in nodes_of.items():
+        top = -1
+        for i in nodes:
+            p = parent[i]
+            if (p < 0 or v not in bag_sets[p]) and i != top:
+                if top >= 0:
+                    return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
+                top = i
+
+    if d.designated is not None:
+        if not (0 <= d.designated < k):
+            return False, "designated bag: designated node out of range"
+        if d.root_clique is not None and not set(d.root_clique) <= bag_sets[d.designated]:
+            return False, "designated bag: designated bag misses the root clique"
+    return True, None
+
+
+def _scanned_least_common_node(members, nodes_of, bags):
+    """The ``least_common_node`` that scanned the shortest node list's bags."""
+    shortest = min((nodes_of.get(x, ()) for x in members), key=len)
+    return next((node for node in shortest if all(x in bags[node] for x in members)), None)
+
+
+@st.composite
+def loose_decompositions(draw):
+    """Any small graph with any small bags on a tree, a near-tree or a forest.
+
+    Elements may fall outside the graph or repeat in a bag, and a designated
+    node and root clique may be set, so every clause of the validator can
+    be the first one violated.
+    """
+    n = draw(st.integers(0, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+              if pairs else ())
+    k = draw(st.integers(0, 7))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    if k and draw(st.integers(0, 4)) == 0:
+        edges = draw(st.lists(st.tuples(st.integers(-1, k), st.integers(-1, k)), max_size=k))
+    bags = [draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else [] for _ in range(k)]
+    if k and draw(st.booleans()):               # cover every vertex
+        for v in range(n):
+            if not any(v in bag for bag in bags):
+                bags[draw(st.integers(0, k - 1))].append(v)
+    if k and draw(st.integers(0, 5)) == 0:      # an element outside the graph
+        bags[draw(st.integers(0, k - 1))].append(draw(st.sampled_from([-1, n])))
+    bags = [tuple(sorted(bag)) for bag in bags]
+    designated = draw(st.none() | st.integers(-1, k))
+    root = draw(st.none() | st.lists(st.integers(0, max(n - 1, 0)), max_size=3).map(tuple))
+    return g, TreeDecomposition(bags=tuple(bags), tree_edges=tuple(edges),
+                                designated=designated, root_clique=root)
+
+
+class TestSetFreeValidation:
+    """``validate_decomposition`` reads node lists, with the verdicts of the set copies."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(loose_decompositions())
+    def test_any_decomposition_gets_the_reference_verdict(self, inst):
+        g, d = inst
+        assert validate_decomposition(g, d) == reference_validate_decomposition(g, d)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(line_decompositions())
+    def test_a_line_decomposition_gets_the_reference_verdict(self, inst):
+        g, d = inst
+        assert validate_decomposition(LineView(g), d) == \
+            reference_validate_decomposition(LineView(g), d)
+
+    @SETTINGS
+    @given(subtree_instances())
+    def test_split_subtrees_get_the_reference_verdict(self, inst):
+        g, d = inst
+        assert validate_decomposition(g, d) == reference_validate_decomposition(g, d)
+
+    @SETTINGS
+    @given(clique_chains(), st.data())
+    def test_a_designated_bag_gets_the_reference_verdict(self, pair, data):
+        g, d = pair
+        node = data.draw(st.integers(-1, d.n_nodes))
+        root = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3).map(tuple))
+        d = d._replace(designated=node, root_clique=root)
+        assert validate_decomposition(g, d) == reference_validate_decomposition(g, d)

@@ -45,6 +45,9 @@ def main(argv=None) -> int:
     except IncidentError as exc:
         print(f"incident: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("incident: out of memory", file=sys.stderr)
+        return 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,27 +147,9 @@ def _dump(x, nl: str) -> str:
     return json.dumps(x, indent=2, sort_keys=True).replace("\n", nl)
 
 
-def _decomp_json(d: TreeDecomposition) -> dict:
-    return {
-        "bags": [list(b) for b in d.bags],
-        "tree_edges": [list(e) for e in d.tree_edges],
-        "designated": d.designated,
-        "root_clique": list(d.root_clique) if d.root_clique is not None else None,
-    }
-
-
 def _params_json(g: Graph, params: Params) -> dict:
-    return {
-        "t": params.t,
-        "n": g.n,
-        "m": params.m,
-        "delta": params.delta,
-        "c_sep": params.c_sep,
-        "p_impl": params.p_value(),
-        "p_floor": params.p_floor(),
-        "reference_p_floor": params.reference_p_floor(),
-        "bound_formula": BOUND_FORMULA,
-    }
+    return dict(params._asdict(), n=g.n, p_impl=params.p_value(), p_floor=params.p_floor(),
+                reference_p_floor=params.reference_p_floor(), bound_formula=BOUND_FORMULA)
 
 
 def _certificate_report(g: Graph, cert: KtCertificate) -> dict:
@@ -174,7 +159,7 @@ def _certificate_report(g: Graph, cert: KtCertificate) -> dict:
         "kind": "certificate",
         "input_digest": graph_digest(g),
         "t": cert.t,
-        "branch_sets": [list(s) for s in cert.branch_sets],
+        "branch_sets": cert.branch_sets,
         "validators": {"model": ok, "violation": why},
     }
 
@@ -226,11 +211,11 @@ def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
         "kind": "partition",
         "input_digest": graph_digest(g),
         "params": _params_json(g, res.params),
-        "parts": [list(p) for p in part.parts],
-        "h_edges": [list(e) for e in part.h_edges],
-        "root_clique": list(part.root),
-        "decomposition": _decomp_json(part.decomp),
-        "embedding": [list(entry) for entry in res.embedding],
+        "parts": part.parts,
+        "h_edges": part.h_edges,
+        "root_clique": part.root,
+        "decomposition": part.decomp._asdict(),
+        "embedding": res.embedding,
         "bounds": {
             "h_width": width(part.decomp),
             "h_width_bound": args.t - 2,
@@ -270,13 +255,13 @@ def _separate_report(g: Graph, args, res, weights) -> tuple[dict, int]:
         "kind": "separator",
         "input_digest": graph_digest(g),
         "params": _params_json(g, res.params),
-        "edges": list(sep.edges),
-        "components": [{"vertices": list(c), "weight": format_fraction(wt)}
+        "edges": sep.edges,
+        "components": [{"vertices": c, "weight": format_fraction(wt)}
                        for c, wt in sep.components],
         "bound_used": sep.bound_used,
         "reference_bound": sep.reference_bound,
         "sink_node": sep.sink_node,
-        "anchors": list(sep.anchors),
+        "anchors": sep.anchors,
         "achieved_size": len(sep.edges),
         "balance_ok": all(wt <= Fraction(1, 2) for _, wt in sep.components),
     }, 0
@@ -288,7 +273,7 @@ def _iso_report(g: Graph, args, wit, _weights) -> tuple[dict, int]:
         "kind": "witness",
         "input_digest": graph_digest(g),
         "t": args.t,
-        "s": list(wit.s),
+        "s": wit.s,
         "size": len(wit.s),
         "window": [-(-g.n // 3), g.n // 2],
         "cut_size": wit.cut_size,
@@ -449,7 +434,7 @@ def _cmd_oracle(args) -> int:
         report["treewidth"] = oracles.exact_treewidth(g)
     elif args.which == "sep":
         f = oracles.min_balanced_edge_separator(g, _read_weights(args, g.n))
-        report["edges"] = list(f)
+        report["edges"] = f
         report["size"] = len(f)
     elif args.which == "iso":
         report["phi"] = format_fraction(oracles.exact_isoperimetric(g))
@@ -459,7 +444,7 @@ def _cmd_oracle(args) -> int:
         found, model = oracles.has_kt_minor(g, args.t)
         report["t"] = args.t
         report["has_minor"] = found
-        report["model"] = [list(s) for s in model] if model else None
+        report["model"] = model
     _emit(args, _json(report))
     return 0
 

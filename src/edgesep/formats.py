@@ -13,10 +13,28 @@ from .errors import FormatError
 from .graphs import Graph
 from .treedecomp import TreeDecomposition
 
-# A header may announce at most this many vertices per character of input.
+# A header may announce at most this many vertices per character of its
+# header and edge lines, each counted stripped and with one line break.
 # Isolated vertices need no line, so n is not otherwise tied to the input,
-# while every report is Theta(n): the cap keeps that cost linear in the input.
+# while every report is Theta(n): the cap keeps that cost linear in the input,
+# and comment lines cannot raise it.
 MAX_VERTICES_PER_CHAR = 16
+
+
+def _records(text: str):
+    """(line number, stripped line, tokens) of each line neither blank nor a comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if line and not line.startswith("c"):
+            yield lineno, line, line.split()
+
+
+def _ints(lineno: int, what: str, fields) -> list:
+    """``fields`` as ints, or a FormatError that names the line and ``what``."""
+    try:
+        return list(map(int, fields))
+    except ValueError:
+        raise FormatError(f"line {lineno}: {what}") from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -32,7 +50,8 @@ def parse_graph(text: str) -> Graph:
             and not set(map(len, map(str.split, lines[1:]))) - {2}):
         try:
             n, m = int(head[2]), int(head[3])
-            if 0 <= n <= MAX_VERTICES_PER_CHAR * len(text) and m == len(lines) - 1:
+            chars = sum(map(len, map(str.strip, lines))) + len(lines)
+            if 0 <= n <= MAX_VERTICES_PER_CHAR * chars and m == len(lines) - 1:
                 ends = iter([int(x) - 1 for x in text.split()[4:]])
                 return Graph(n, zip(ends, ends))
         except ValueError:
@@ -41,38 +60,30 @@ def parse_graph(text: str) -> Graph:
 
 
 def _parse_lines(text: str) -> Graph:
+    records = list(_records(text))
+    cap = MAX_VERTICES_PER_CHAR * sum(len(line) + 1 for _, line, _ in records)
     n = m = None
     edges = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line, parts in records:
         if line.startswith("p"):
-            parts = line.split()
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate header")
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "tw":
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer header fields") from None
+            n, m = _ints(lineno, "non-integer header fields", parts[2:])
             if n < 0 or m < 0:
                 raise FormatError(f"line {lineno}: negative header fields")
-            if n > MAX_VERTICES_PER_CHAR * len(text):
+            if n > cap:
                 raise FormatError(f"line {lineno}: header announces {n} vertices, more than "
                                   f"{MAX_VERTICES_PER_CHAR} per character of input")
             continue
         if n is None:
             raise FormatError(f"line {lineno}: edge before header")
-        parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: malformed edge line {line!r}")
-        try:
-            u, v = int(parts[0]) - 1, int(parts[1]) - 1
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer edge endpoints") from None
+        u, v = _ints(lineno, "non-integer edge endpoints", parts)
+        u, v = u - 1, v - 1
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"line {lineno}: endpoint out of range")
         if u == v:
@@ -116,39 +127,28 @@ def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
     header = None
     bags: dict[int, tuple] = {}
     tree_edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _records(text):
         if parts[0] == "s":
             if header is not None:
                 raise FormatError(f"line {lineno}: duplicate solution line")
             if len(parts) != 5 or parts[1] != "td":
                 raise FormatError(f"line {lineno}: malformed solution line")
-            try:
-                header = tuple(int(x) for x in parts[2:])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-integer solution fields") from None
+            header = _ints(lineno, "non-integer solution fields", parts[2:])
             continue
         if header is None:
             raise FormatError(f"line {lineno}: content before the solution line")
         if parts[0] == "b":
-            try:
-                bag_id = int(parts[1]) - 1
-                verts = tuple(sorted(int(x) - 1 for x in parts[2:]))
-            except (ValueError, IndexError):
-                raise FormatError(f"line {lineno}: malformed bag line") from None
-            if bag_id in bags:
+            ids = _ints(lineno, "malformed bag line", parts[1:])
+            if not ids:
+                raise FormatError(f"line {lineno}: malformed bag line")
+            if ids[0] - 1 in bags:
                 raise FormatError(f"line {lineno}: duplicate bag id")
-            bags[bag_id] = verts
+            bags[ids[0] - 1] = tuple(sorted(v - 1 for v in ids[1:]))
             continue
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: malformed tree edge")
-        try:
-            tree_edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer tree edge") from None
+        a, b = _ints(lineno, "non-integer tree edge", parts)
+        tree_edges.append((a - 1, b - 1))
     if header is None:
         raise FormatError("missing solution line 's td ...'")
     n_bags, _, n_graph = header
@@ -165,28 +165,17 @@ def parse_weights(text: str, n: int) -> tuple:
     """Two-column '<vertexId> <num>/<den>' lines; omitted vertices weigh 0."""
     weights = [Fraction(0)] * n
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    for lineno, line, parts in _records(text):
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected '<vertex> <weight>'")
-        try:
-            v = int(parts[0]) - 1
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer vertex id") from None
+        v = _ints(lineno, "non-integer vertex id", parts[:1])[0] - 1
         if not (0 <= v < n):
             raise FormatError(f"line {lineno}: vertex id out of range")
         if v in seen:
             raise FormatError(f"line {lineno}: duplicate vertex id")
         seen.add(v)
         try:
-            if "/" in parts[1]:
-                num, den = parts[1].split("/", 1)
-                weights[v] = Fraction(int(num), int(den))
-            else:
-                weights[v] = Fraction(int(parts[1]))
+            weights[v] = Fraction(*map(int, parts[1].split("/", 1)))
         except (ValueError, ZeroDivisionError):
             raise FormatError(f"line {lineno}: malformed weight {parts[1]!r}") from None
     return tuple(weights)

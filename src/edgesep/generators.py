@@ -14,10 +14,6 @@ import random
 from .errors import ParameterError
 from .graphs import Graph
 
-FAMILIES = ("grid", "toroidal-grid", "cycle", "star", "path", "complete",
-            "random-tree", "outerplanar")
-
-
 def grid(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1:
         raise ParameterError("grid dimensions must be positive")
@@ -104,30 +100,25 @@ def outerplanar(n: int, seed: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
+# family name: (generator, parameter count, whether it takes the seed)
+_GENERATORS = {
+    "grid": (grid, 2, False),
+    "toroidal-grid": (toroidal_grid, 2, False),
+    "cycle": (cycle, 1, False),
+    "star": (star, 1, False),
+    "path": (path, 1, False),
+    "complete": (complete, 1, False),
+    "random-tree": (random_tree, 1, True),
+    "outerplanar": (outerplanar, 1, True),
+}
+FAMILIES = tuple(_GENERATORS)
+
+
 def generate(family: str, args: list[int], seed: int = 0) -> Graph:
     """Dispatch a family name plus integer parameters to its generator."""
-    if family == "grid":
-        return grid(*_need(args, 2, family))
-    if family == "toroidal-grid":
-        return toroidal_grid(*_need(args, 2, family))
-    if family == "cycle":
-        return cycle(*_need(args, 1, family))
-    if family == "star":
-        return star(*_need(args, 1, family))
-    if family == "path":
-        return path(*_need(args, 1, family))
-    if family == "complete":
-        return complete(*_need(args, 1, family))
-    if family == "random-tree":
-        n, = _need(args, 1, family)
-        return random_tree(n, seed)
-    if family == "outerplanar":
-        n, = _need(args, 1, family)
-        return outerplanar(n, seed)
-    raise ParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
-
-
-def _need(args: list[int], count: int, family: str) -> list[int]:
+    if family not in _GENERATORS:
+        raise ParameterError(f"unknown family {family!r}; choose from {FAMILIES}")
+    make, count, seeded = _GENERATORS[family]
     if len(args) != count:
         raise ParameterError(f"family {family!r} takes {count} parameter(s)")
-    return args
+    return make(*args, seed) if seeded else make(*args)

@@ -99,8 +99,16 @@ class RootedPartition(NamedTuple):
 
 class PartitionResult(NamedTuple):
     partition: RootedPartition
-    embedding: tuple   # per edge id: (part id, slot index >= 1)
     params: Params
+
+    @property
+    def embedding(self) -> tuple:
+        """Per edge id, (part id, slot): each part numbers its edges 1..|part|."""
+        slots: list = [None] * sum(map(len, self.partition.parts))
+        for pid, part in enumerate(self.partition.parts):
+            for rank, eid in enumerate(part, 1):
+                slots[eid] = (pid, rank)
+        return tuple(slots)
 
 
 # ---------------------------------------------------------------- recursion
@@ -467,8 +475,8 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
         else:       # a disjoint union glues along the empty clique, unrooted
             roots, node = (), out.glue(node, sub, ())
     part = out.freeze(roots, node)
-    return PartitionResult(partition=part, embedding=_build_embedding(g, part),
-                           params=params)
+    assert sum(map(len, part.parts)) == g.m, "every edge must land in a part"
+    return PartitionResult(partition=part, params=params)
 
 
 def line_graph_tree_decomposition(g: Graph, t: int
@@ -478,15 +486,6 @@ def line_graph_tree_decomposition(g: Graph, t: int
     if isinstance(res, KtCertificate):
         return res
     return product_blowup(res.partition.decomp, res.partition.parts)
-
-
-def _build_embedding(g: Graph, p: RootedPartition) -> tuple:
-    slots: list = [None] * g.m
-    for pid, part in enumerate(p.parts):
-        for rank, eid in enumerate(part):
-            slots[eid] = (pid, rank + 1)
-    assert all(s is not None for s in slots), "every edge must land in a part"
-    return tuple(slots)
 
 
 # ---------------------------------------------------------------- validators

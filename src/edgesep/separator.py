@@ -243,16 +243,28 @@ def _greedy_window(sizes, lo, hi):
 
 
 def _subset_sum_window(sizes, lo, hi):
-    """First achievable sum in [lo, hi], reconstructed deterministically."""
-    reach = {0: ()}
+    """First achievable sum in [lo, hi] (lo, hi >= 0), reconstructed deterministically.
+
+    Bit k of ``reach`` says that some items sum to k, and ``first[k]`` is the
+    item that first reached k.  It reached k from k minus its size, a sum
+    of earlier items only, so the picks are read back by subtracting sizes.
+    """
+    reach = 1
+    first = [0] * (hi + 1)
+    mask = (1 << hi + 1) - 1
     for i, s in enumerate(sizes):
-        additions = {}
-        for total, picks in reach.items():
-            t2 = total + s
-            if t2 <= hi and t2 not in reach and t2 not in additions:
-                additions[t2] = picks + (i,)
-        reach.update(additions)
-    for total in range(lo, hi + 1):
-        if total in reach:
-            return list(reach[total])
-    return None
+        new = (reach << s) & mask & ~reach
+        reach |= new
+        while new:
+            low = new & -new
+            first[low.bit_length() - 1] = i
+            new ^= low
+    window = reach >> lo
+    if not window:
+        return None
+    total = lo + (window & -window).bit_length() - 1
+    picks = []
+    while total:
+        picks.append(first[total])
+        total -= sizes[picks[-1]]
+    return picks[::-1]

@@ -116,19 +116,15 @@ def guarantee_factor(h: int) -> int:
 class TreeOrSeparator(NamedTuple):
     """Either/or result; exactly one of the two outcomes is populated.
 
-    ``flavor`` says whether the separator field holds vertex ids ("vertex")
-    or edge ids ("edge"); tree edges are vertex pairs for the vertex flavor
-    and edge ids for the edge flavor.  A named tuple: immutable, cheap to
-    build once per recursion step, and hashable.  Every field, ``fragments``
-    too, takes part in equality, hashing and repr, and a result equals the
-    plain tuple of its fields.
+    Tree edges are vertex pairs for the vertex flavor and edge ids for the
+    edge flavor; the separator holds vertex ids or edge ids likewise.  A
+    named tuple: immutable, cheap to build once per recursion step, and
+    hashable.  Every field, ``fragments`` too, takes part in equality,
+    hashing and repr, and a result equals the plain tuple of its fields.
     """
 
-    flavor: str                      # "vertex" | "edge"
     kind: str                        # "tree" | "separator"
-    h: int
     c_sep: int                       # promised guarantee factor for this call
-    achieved: int                    # measured size of the returned object
     tree_vertices: Optional[VertexSet] = None
     tree_edges: Optional[tuple] = None
     separator: Optional[tuple] = None
@@ -169,12 +165,8 @@ def vertex_tree_or_separator(g, targets: Sequence[Iterable[int]], r,
 
 
 def _vertex_result(h, kind, tv, te, sep) -> TreeOrSeparator:
-    return TreeOrSeparator(
-        flavor="vertex", kind=kind, h=h,
-        c_sep=guarantee_factor(h),
-        achieved=len(tv) if kind == "tree" else len(sep),
-        tree_vertices=tv, tree_edges=te, separator=sep,
-    )
+    return TreeOrSeparator(kind=kind, c_sep=guarantee_factor(h),
+                           tree_vertices=tv, tree_edges=te, separator=sep)
 
 
 def _vertex_scheme(g, tsets, r_exact, work):
@@ -334,7 +326,7 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
         # already a zero-edge tree
         if tsets[0]:
             v = _one_target_tree(g, tsets, work)
-            return TreeOrSeparator("edge", "tree", 1, 1, 0, (v,), (), None, None)
+            return TreeOrSeparator("tree", 1, (v,), (), None, None)
         return _finish_edge(g, tsets, Budget.of(r), work, "separator", None, None, ())
 
     r_exact = Budget.of(r)
@@ -384,7 +376,7 @@ def _one_target_tree(g: Graph, targets, work) -> int:
     accepts, so no ``TreeOrSeparator`` is built.
     """
     v = min(targets[0])
-    _verify_edge(g, targets, None, work, ("edge", "tree", 1, 1, 0, (v,), (), None, None))
+    _verify_edge(g, targets, None, work, ("tree", 1, (v,), (), None, None))
     return v
 
 
@@ -402,8 +394,7 @@ def _spanning_tree_of_edges(g: Graph, eids: Iterable[int]):
 
 def _finish_edge(g, tsets, r_exact, work, kind, tv, te, sep,
                  comps=None, inner=()) -> TreeOrSeparator:
-    res = TreeOrSeparator("edge", kind, len(tsets), guarantee_factor(len(tsets)),
-                          len(te) if kind == "tree" else len(sep), tv, te, sep,
+    res = TreeOrSeparator(kind, guarantee_factor(len(tsets)), tv, te, sep,
                           None if comps is None else tuple(comps))
     _verify_edge(g, tsets, r_exact, work, res, comps, inner)
     return res
@@ -418,7 +409,7 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator,
     separator outcome, already computed by the caller; ``inner`` is the E(C)
     the search ran on, against which a nonempty separator's size is capped.
     """
-    _, kind, _, c_sep, _, tree_vertices, tree_edges, separator, _ = res
+    kind, c_sep, tree_vertices, tree_edges, separator, _ = res
     h = len(tsets)
     if kind == "tree" and not tree_edges and len(tree_vertices) == 1:
         v = tree_vertices[0]            # the zero-edge tree (v,), read without a copy

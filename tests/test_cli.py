@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesep import Graph, cli, graphs
+from edgesep import Graph, cli, graphs, partition
 from edgesep.cli import main
 from edgesep.formats import emit_graph
 from edgesep.generators import (complete, grid, outerplanar, path, random_tree,
@@ -447,6 +447,30 @@ class TestHostileArtifacts:
         code, err = run_cli_stderr(["partition", "--t", "5"])
         assert code == 2
         assert "header announces 1000000 vertices" in err
+
+
+class TestOutOfMemory:
+    def test_a_command_out_of_memory_exits_1_without_a_traceback(self, grid_file,
+                                                                  monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "partition_line_graph", exhausted)
+        assert run_cli_stderr(["partition", grid_file, "--t", "5"]) == \
+            (1, "incident: out of memory\n")
+
+
+class TestEmbeddingOnDemand:
+    """Only ``partition`` reports the embedding, so no other command derives it."""
+
+    @pytest.mark.parametrize("argv", [["separate", "--uniform"], ["iso"], ["tdlg"]],
+                             ids=lambda argv: argv[0])
+    def test_the_other_commands_never_read_it(self, argv, grid_file, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the embedding was derived")
+
+        monkeypatch.setattr(partition.PartitionResult, "embedding", property(refuse))
+        assert run_cli([argv[0], grid_file, "--t", "5", *argv[1:]])[0] == 0
 
 
 class TestEveryCommandExitsWithADocumentedCode:

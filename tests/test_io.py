@@ -13,7 +13,7 @@ from edgesep import Graph, formats, has_kt_minor, max_degree, validate_decomposi
 from edgesep.errors import FormatError, ParameterError
 from edgesep.formats import (MAX_VERTICES_PER_CHAR, emit_decomposition, emit_graph,
                              graph_digest, parse_decomposition, parse_graph, parse_weights)
-from edgesep.generators import (complete, cycle, generate, grid, outerplanar,
+from edgesep.generators import (FAMILIES, complete, cycle, generate, grid, outerplanar,
                                 path, random_tree, star, toroidal_grid)
 from edgesep.treedecomp import TreeDecomposition
 
@@ -46,12 +46,14 @@ class TestGraphFormat:
             parse_graph("p tw 3 2\n1 2\n")
 
     def test_a_header_just_inside_the_vertex_cap_parses(self):
-        head = "p tw 640 0\n"
-        text = head + "c" * (640 // MAX_VERTICES_PER_CHAR - len(head) - 1) + "\n"
-        assert len(text) * MAX_VERTICES_PER_CHAR == 640
-        assert parse_graph(text).n == 640
-        with pytest.raises(FormatError, match="641 vertices"):
-            parse_graph(text.replace("640", "641"))
+        # the cap counts the header and edge lines, each stripped and with one
+        # line break, so trailing blanks, comment and blank lines cannot raise it
+        head = "p tw 176 0\n"
+        assert len(head) * MAX_VERTICES_PER_CHAR == 176
+        for text in (head, head.replace("\n", "  \r\n"), "c " + "x" * 640 + "\n\n" + head):
+            assert parse_graph(text).n == 176
+            with pytest.raises(FormatError, match="177 vertices"):
+                parse_graph(text.replace("176", "177"))
 
     def test_digest_is_stable(self):
         assert graph_digest(grid(2, 2)) == graph_digest(grid(2, 2))
@@ -100,6 +102,68 @@ class TestDecompositionFormat:
     def test_missing_solution_line(self):
         with pytest.raises(FormatError, match="solution"):
             parse_decomposition("b 1 1 2\n")
+
+
+# each defect after a comment and a blank line, so the line number counts them
+PAD = "c note\n\n"
+
+
+class TestDefectTexts:
+    """Every FormatError names its defect, and its line, in these words."""
+
+    @pytest.mark.parametrize("text, error", [
+        (PAD + "s td 1 1 1\ns td 1 1 1\n", "line 4: duplicate solution line"),
+        (PAD + "s td 1 1\n", "line 3: malformed solution line"),
+        (PAD + "s tw 1 1 1\n", "line 3: malformed solution line"),
+        (PAD + "s td 1 x 1\n", "line 3: non-integer solution fields"),
+        (PAD + "b 1 1\n", "line 3: content before the solution line"),
+        (PAD + "s td 1 1 1\nb\n", "line 4: malformed bag line"),
+        (PAD + "s td 1 1 1\nb x 1\n", "line 4: malformed bag line"),
+        (PAD + "s td 1 1 1\nb 1 1/2\n", "line 4: malformed bag line"),
+        (PAD + "s td 1 1 1\nb 1 1\nb 1 1\n", "line 5: duplicate bag id"),
+        (PAD + "s td 2 1 1\nb 1 1\nb 2 1\n1 2 3\n", "line 6: malformed tree edge"),
+        (PAD + "s td 2 1 1\nb 1 1\nb 2 1\n1 y\n", "line 6: non-integer tree edge"),
+        (PAD, "missing solution line 's td ...'"),
+        (PAD + "s td 2 1 1\nb 1 1\n", "bag ids do not cover 1..#bags"),
+    ])
+    def test_decomposition(self, text, error):
+        with pytest.raises(FormatError) as exc:
+            parse_decomposition(text)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("text, error", [
+        (PAD + "1\n", "line 3: expected '<vertex> <weight>'"),
+        (PAD + "1 1/2 3\n", "line 3: expected '<vertex> <weight>'"),
+        (PAD + "x 1/2\n", "line 3: non-integer vertex id"),
+        (PAD + "1 1/2\n4 1/2\n", "line 4: vertex id out of range"),
+        (PAD + "0 1/2\n", "line 3: vertex id out of range"),
+        (PAD + "1 1/2\n1 1/2\n", "line 4: duplicate vertex id"),
+        (PAD + "1 1/0\n", "line 3: malformed weight '1/0'"),
+        (PAD + "1 x/2\n", "line 3: malformed weight 'x/2'"),
+        (PAD + "1 1/\n", "line 3: malformed weight '1/'"),
+        (PAD + "1 1/2/3\n", "line 3: malformed weight '1/2/3'"),
+        (PAD + "1 0.5\n", "line 3: malformed weight '0.5'"),
+    ])
+    def test_weights(self, text, error):
+        with pytest.raises(FormatError) as exc:
+            parse_weights(text, 3)
+        assert str(exc.value) == error
+
+    @pytest.mark.parametrize("text, error", [
+        (PAD + "p tw 2 0\np tw 2 0\n", "line 4: duplicate header"),
+        (PAD + "p tw 2\n", "line 3: malformed header 'p tw 2'"),
+        (PAD + "p tw 2 x\n", "line 3: non-integer header fields"),
+        (PAD + "p tw 2 -1\n", "line 3: negative header fields"),
+        (PAD + "1 2\n", "line 3: edge before header"),
+        (PAD + "p tw 2 1\n1 2 3\n", "line 4: malformed edge line '1 2 3'"),
+        (PAD + "p tw 2 1\n1 y\n", "line 4: non-integer edge endpoints"),
+        (PAD + "p tw 2 1\n1 3\n", "line 4: endpoint out of range"),
+        (PAD, "missing header line 'p tw <n> <m>'"),
+    ])
+    def test_graph(self, text, error):
+        with pytest.raises(FormatError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == error
 
 
 class TestWeightsFormat:
@@ -260,3 +324,23 @@ class TestGenerators:
             generate("hypercube", [3])
         with pytest.raises(ParameterError, match="parameter"):
             generate("grid", [3])
+
+    FAMILY_CASES = [("grid", grid, [2, 3], False), ("toroidal-grid", toroidal_grid, [3, 4], False),
+                    ("cycle", cycle, [5], False), ("star", star, [4], False),
+                    ("path", path, [4], False), ("complete", complete, [4], False),
+                    ("random-tree", random_tree, [9], True),
+                    ("outerplanar", outerplanar, [9], True)]
+
+    def test_the_families_are_listed_in_order(self):
+        assert FAMILIES == tuple(case[0] for case in self.FAMILY_CASES)
+
+    @pytest.mark.parametrize("family, make, args, seeded", FAMILY_CASES,
+                             ids=[case[0] for case in FAMILY_CASES])
+    def test_every_family_dispatches_with_its_count_and_seed(self, family, make, args,
+                                                               seeded):
+        assert generate(family, args, seed=3) == (make(*args, 3) if seeded else make(*args))
+        if seeded:
+            assert generate(family, args) == make(*args, 0)
+        with pytest.raises(ParameterError,
+                           match=fr"^family '{family}' takes {len(args)} parameter\(s\)$"):
+            generate(family, args + [1], seed=3)

@@ -75,7 +75,7 @@ RECORDS = [
     _PARAMS,
     KtCertificate(branch_sets=((0,), (1,), (2,)), t=3),
     _PARTITION,
-    PartitionResult(partition=_PARTITION, embedding=((0, 1),), params=_PARAMS),
+    PartitionResult(partition=_PARTITION, params=_PARAMS),
     _DECOMP,
     EdgeSeparatorResult(edges=(0,), components=(((0,), Fraction(1, 2)), ((1,), Fraction(1, 2))),
                         bound_used=8, reference_bound=4, sink_node=0, anchors=(0, 0)),
@@ -190,6 +190,27 @@ class TestPartitionLineGraph:
         assert ok, why
         slots = [slot for _, slot in res.embedding]
         assert max(slots) <= res.params.p_floor()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_the_derived_embedding_is_the_one_once_stored(self, data):
+        n = data.draw(st.integers(1, 14))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(n, edges)
+        res = partition_line_graph(g, data.draw(st.integers(3, 6)))
+        if not isinstance(res, KtCertificate):
+            assert res.embedding == _build_embedding(g, res.partition)
+
+
+def _build_embedding(g, p):
+    """The embedding as ``partition_line_graph`` stored it, the reference."""
+    slots = [None] * g.m
+    for pid, part in enumerate(p.parts):
+        for rank, eid in enumerate(part):
+            slots[eid] = (pid, rank + 1)
+    assert all(s is not None for s in slots), "every edge must land in a part"
+    return tuple(slots)
 
 
 class TestRecursion:

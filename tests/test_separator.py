@@ -315,7 +315,31 @@ class TestIntegerLoads:
         assert orient_and_find_sink(d, weights) == fraction_sink(d, weights)
 
 
+def subset_sum_window(sizes, lo, hi):
+    """The window search as a dict of pick tuples per sum, the reference."""
+    reach = {0: ()}
+    for i, s in enumerate(sizes):
+        additions = {}
+        for total, picks in reach.items():
+            t2 = total + s
+            if t2 <= hi and t2 not in reach and t2 not in additions:
+                additions[t2] = picks + (i,)
+        reach.update(additions)
+    for total in range(lo, hi + 1):
+        if total in reach:
+            return list(reach[total])
+    return None
+
+
 class TestIsoperimetricWitness:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 40)), max_size=14),
+           st.integers(0, 60), st.integers(0, 60))
+    def test_the_window_search_matches_the_reference(self, sizes, lo, hi):
+        assert separator_module._subset_sum_window(sizes, lo, hi) == \
+            subset_sum_window(sizes, lo, hi)
+
+
     def test_k2(self):
         wit = isoperimetric_witness(Graph(2, [(0, 1)]), 3)
         assert len(wit.s) == 1 and wit.ratio == 1

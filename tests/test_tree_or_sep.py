@@ -303,12 +303,12 @@ class TestContracts:
 
     # a zero-edge tree (v,) is checked in place, with the general check's messages
     def test_a_zero_edge_tree_outside_the_working_set_is_refused(self):
-        res = tree_or_sep.TreeOrSeparator("edge", "tree", 1, 1, 0, (3,), (), None)
+        res = tree_or_sep.TreeOrSeparator("tree", 1, (3,), (), None)
         with pytest.raises(AssertionError, match=r"^tree leaves the working set$"):
             tree_or_sep._verify_edge(path(4), [frozenset({3})], None, {0, 1, 2}, res)
 
     def test_a_zero_edge_tree_missing_a_target_is_refused(self):
-        res = tree_or_sep.TreeOrSeparator("edge", "tree", 3, 3, 0, (1,), (), None)
+        res = tree_or_sep.TreeOrSeparator("tree", 3, (1,), (), None)
         tsets = [frozenset({1}), frozenset({1, 2}), frozenset({2})]
         with pytest.raises(AssertionError, match=r"^edge tree misses target 2$"):
             tree_or_sep._verify_edge(path(4), tsets, None, {0, 1, 2, 3}, res)

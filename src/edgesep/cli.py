@@ -230,7 +230,7 @@ def _tdlg_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
     blowup = product_blowup(res.partition.decomp, res.partition.parts)
     ok, why = validate_decomposition(LineView(g), blowup)
     w = width(blowup)
-    bound = (args.t - 1) * res.params.p_floor() - 1
+    bound = res.params.separator_bound() - 1
     td_text = emit_decomposition(blowup, g.m)
     if args.td_out:
         with open(args.td_out, "w") as fh:
@@ -417,7 +417,7 @@ def _check_separator(g: Graph, f, weights, bound, params):
     if sum(weights.values()) != 1:
         return False, "weights: component weights do not sum to 1"
     # the bound is recomputed from G: an artifact cannot raise its own
-    bound_used = (params.t - 1) * params.p_floor()
+    bound_used = params.separator_bound()
     if bound is not None and bound != bound_used:
         return False, (f"size: recorded bound_used {bound} is not "
                        f"(t-1)*floor(p_impl) = {bound_used}")

@@ -57,7 +57,11 @@ class Params(NamedTuple):
 
     def reference_p_floor(self) -> int:
         """floor of p at c_sep = 1, the best-possible subroutine constant."""
-        return self.delta + math.isqrt((self.t - 3) * self.delta * self.m)
+        return self._replace(c_sep=1).p_floor()
+
+    def separator_bound(self) -> int:
+        """(t-1)*floor(p_impl): the size bound of an edge separator."""
+        return (self.t - 1) * self.p_floor()
 
     def p_value(self) -> float:
         return math.sqrt(self.p_inner) + self.delta
@@ -114,15 +118,17 @@ class PartitionResult(NamedTuple):
 # ---------------------------------------------------------------- recursion
 #
 # The recursion runs as one loop, so its depth costs heap, not interpreter
-# frames.  A call is a plain tuple (pieces, roots, models, nbrs, parent
-# measure).  Every call owns the vertex set of its C and hands it on to at
-# most one child, which shrinks it in place.  A step hands back the call to
-# enter next, its own tree child or the first child of a split, so a path or
-# a tree is peeled in place and no call is ever pushed: the stack holds only
-# the continuations that wait for a node, attaches as (roots, slot) pairs and
-# ``_Join``s.  H and its decomposition grow in a single builder that is
-# frozen once; the ids it hands out are the ones the textbook formulation
-# (each call returns its own partition, parents relabel and glue) produces.
+# frames.  A call is a plain tuple (pieces, roots, parent measure), and each
+# root is one record (slot, U_i, N(U_i)): the slot of its part, its model set
+# and that set's open neighborhood.  Every call owns the vertex set of its C
+# and hands it on to at most one child, which shrinks it in place.  A step
+# hands back the call to enter next, its own tree child or the first child of
+# a split, so a path or a tree is peeled in place and no call is ever pushed:
+# the stack holds only the continuations that wait for a node, attaches as
+# (roots, slot) pairs and ``_Join``s.  H and its decomposition grow in a
+# single builder that is frozen once; the ids it hands out are the ones the
+# textbook formulation (each call returns its own partition, parents relabel
+# and glue) produces.
 
 class _Builder:
     """Parts, H-edges and a ``Decomposition`` of H, appended in recursion order.
@@ -150,20 +156,17 @@ class _Builder:
         self.parts.append(tuple(sorted(x)))
         return pid
 
-    def pids(self, slots) -> list:
-        return [self.pid(s) for s in slots]
-
-    def complete(self, slots) -> int:
+    def complete(self, roots) -> int:
         """Complete H on the given root parts, in one bag."""
-        ids = self.pids(slots)
+        ids = [self.pid(s) for s, _, _ in roots]
         self.h_edges.update((a, b) if a < b else (b, a)
                             for i, a in enumerate(ids) for b in ids[i + 1:])
         return self.decomp.add(ids)
 
-    def attach(self, node: int, root_slots, slot: int) -> int:
+    def attach(self, node: int, roots, slot: int) -> int:
         """New part adjacent to every root part, as a leaf bag under ``node``."""
         clique = []
-        for s in root_slots:
+        for s, _, _ in roots:
             x = self._slots[s]
             clique.append(x if type(x) is int else self.pid(s))
         new = self.pid(slot)
@@ -172,12 +175,12 @@ class _Builder:
         return attach_vertex(self.decomp, node, new, clique)
 
     def glue(self, first: int, second: int, shared_slots) -> int:
-        return glue(self.decomp, first, second, self.pids(shared_slots))
+        return glue(self.decomp, first, second, [self.pid(s) for s in shared_slots])
 
-    def freeze(self, root_slots, node: Optional[int]) -> RootedPartition:
+    def freeze(self, roots, node: Optional[int]) -> RootedPartition:
         return RootedPartition(parts=tuple(self.parts),
                                h_edges=tuple(sorted(self.h_edges)),
-                               root=tuple(self.pids(root_slots)),
+                               root=tuple(self.pid(s) for s, _, _ in roots),
                                decomp=self.decomp.freeze(node))
 
 
@@ -288,7 +291,7 @@ def _split(g: Graph, piece: _Piece, around) -> list:
 
 
 class _Join:
-    """Child calls run in order; their nodes glue along the parts of ``shared``.
+    """Child calls run in order; their nodes glue along the slots ``shared``.
 
     Each child is an (attach or None, call) pair.  Launching a child pushes
     the join and then the child's attach, and hands back its call, so the
@@ -297,7 +300,7 @@ class _Join:
 
     __slots__ = ("todo", "shared", "acc")
 
-    def __init__(self, children: list, shared: tuple):
+    def __init__(self, children: list, shared: list):
         self.todo = children[::-1]
         self.shared = shared
         self.acc = None
@@ -319,21 +322,19 @@ def _enter(g, params, out: _Builder, call: tuple, stack):
 
     Work that waits for a node is pushed on ``stack``.
     """
-    pieces, roots, models, nbrs, parent_measure = call
+    pieces, roots, parent_measure = call
     h = len(roots)
     if len(pieces) > 1:
         measure = 2 * sum(len(p.verts) for p in pieces) + h
         assert measure < parent_measure, "recursion measure failed to decrease"
-        return _Join([(None, ([p], roots, models, nbrs, measure)) for p in pieces],
-                     roots).launch(stack)
+        return _Join([(None, ([p], roots, measure)) for p in pieces],
+                     [s for s, _, _ in roots]).launch(stack)
 
     piece = pieces[0]
     c = piece.verts
     measure = 2 * len(c) + h
     assert measure < parent_measure, "recursion measure failed to decrease"
-    targets = []                            # A_i = V(C) ∩ N(U_i)
-    for nb in nbrs:
-        targets.append(c & nb)
+    targets = [c & nb for _, _, nb in roots]    # A_i = V(C) ∩ N(U_i)
     if not all(targets):
         assert any(targets), "a proper C inside a connected component neighbors some U_i"
         # drop each root with an empty target, the first one left each time;
@@ -344,10 +345,8 @@ def _enter(g, params, out: _Builder, call: tuple, stack):
             if targets[k]:
                 k += 1
                 continue
-            slot = roots[k]
+            slot = roots[k][0]
             roots = roots[:k] + roots[k + 1:]
-            models = models[:k] + models[k + 1:]
-            nbrs = nbrs[:k] + nbrs[k + 1:]
             del targets[k]
             stack.append((roots, slot))
         h = len(roots)
@@ -357,7 +356,7 @@ def _enter(g, params, out: _Builder, call: tuple, stack):
     # A call enters with h <= t - 1: a tree child has one root more than a
     # step that passed this test, so here h + 1 = t
     if h >= params.t - 1:
-        sets = tuple(tuple(sorted(u)) for u in models) + (tuple(sorted(c)),)
+        sets = tuple(tuple(sorted(u)) for _, u, _ in roots) + (tuple(sorted(c)),)
         return KtCertificate(sets, params.t)
 
     if len(c) == 1:
@@ -374,24 +373,23 @@ def _enter(g, params, out: _Builder, call: tuple, stack):
         tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c,
                                      inner=piece.inner_edges(g))
         if not tos.is_tree():
-            return _separate(g, params, out, piece, tos, targets, roots, models,
-                             nbrs, measure, stack)
+            return _separate(g, params, out, piece, tos, targets, roots, measure, stack)
         tv = tos.tree_vertices
         e_new = edges_between(g, tv, c)
     assert e_new, "C is connected with |C| > 1, so the tree touches an edge"
     assert params.allows_part_size(len(e_new)), "tree part exceeds the size budget"
-    roots += (out.slot(e_new),)
+    nb_tv = frozenset(g.adj[v]) if h == 1 else frozenset(neighborhood(g, tv))
+    roots += ((out.slot(e_new), tv, nb_tv),)
     if len(tv) == len(c):                   # the tree lies in C, so it is C
         return out.complete(roots)
-    nb_tv = frozenset(g.adj[v]) if h == 1 else frozenset(neighborhood(g, tv))
     c.difference_update(tv)
     if piece.edges is not None:
         piece.edges.difference_update(e_new)
-    return _split(g, piece, nb_tv), roots, models + (tv,), nbrs + (nb_tv,), measure
+    return _split(g, piece, nb_tv), roots, measure
 
 
 def _separate(g, params, out: _Builder, piece: _Piece, tos, targets, roots,
-              models, nbrs, measure, stack) -> tuple:
+              measure, stack) -> tuple:
     """The separator step of ``_enter``: one child per component of C - F."""
     c = piece.verts
     comps: list = []                # the components of C - F
@@ -400,29 +398,25 @@ def _separate(g, params, out: _Builder, piece: _Piece, tos, targets, roots,
     assert f, "connected C with nonempty targets forces a nonempty separator"
     assert params.allows_part_size(len(f)), "separator part exceeds the size budget"
     assert len(comps) >= 2, "an inclusion-minimal separator splits C"
-    # a piece missing A_k takes F in place of root k and grows U_k by every
-    # piece that meets A_k; root k's part is attached back after its call
+    # a piece missing A_k takes F in place of root k's part and grows U_k by
+    # every piece that meets A_k; root k's part is attached back after its call
     missing = [next(i for i, a in enumerate(targets) if not (cset & a)) for cset in comps]
-    grown = {}
+    f_slot = out.slot(f)
+    grown = {}                      # k: the roots of a piece missing A_k
     for k in set(missing):
+        _, u, nb = roots[k]
         x = frozenset(v for other in comps if other & targets[k] for v in other)
-        u2 = x.union(models[k])
-        grown[k] = (u2, frozenset(neighborhood(g, x)).union(nbrs[k]) - u2)
+        u2 = x.union(u)
+        nb2 = frozenset(neighborhood(g, x)).union(nb) - u2
+        grown[k] = roots[:k] + ((f_slot, u2, nb2),) + roots[k + 1:]
     # E(C), built for the search, less F: each edge lies in one piece
     piece_of = {v: i for i, cset in enumerate(comps) for v in cset}
     inner: list = [set() for _ in comps]
     for e in piece.edges - f:
         inner[piece_of[g.edges[e][0]]].add(e)
-    f_slot = out.slot(f)
-    children = []
-    for cset, k, edges in zip(comps, missing, inner):
-        sub_roots = roots[:k] + (f_slot,) + roots[k + 1:]
-        u2, nb2 = grown[k]
-        children.append(((sub_roots, roots[k]),
-                         ([_Piece(cset, edges)], sub_roots,
-                          models[:k] + (u2,) + models[k + 1:],
-                          nbrs[:k] + (nb2,) + nbrs[k + 1:], measure)))
-    return _Join(children, (f_slot,) + roots).launch(stack)
+    children = [((grown[k], roots[k][0]), ([_Piece(cset, edges)], grown[k], measure))
+                for cset, k, edges in zip(comps, missing, inner)]
+    return _Join(children, [f_slot] + [s for s, _, _ in roots]).launch(stack)
 
 
 def _run(g, params, out: _Builder, call: tuple):
@@ -464,10 +458,10 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
         if len(comp) == 1:
             continue
         x = comp[0]
-        sub_roots = (out.slot(frozenset(g.adj_eids[x])),)
+        sub_roots = ((out.slot(frozenset(g.adj_eids[x])), (x,), frozenset(g.adj[x])),)
         # the component before its first root measures 2|comp|
         sub = _run(g, params, out, (_split(g, _Piece(set(comp[1:])), g.adj[x]), sub_roots,
-                                    ((x,),), (frozenset(g.adj[x]),), 2 * len(comp)))
+                                    2 * len(comp)))
         if isinstance(sub, KtCertificate):
             return sub
         if node is None:

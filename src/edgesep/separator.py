@@ -88,8 +88,8 @@ def _sink_separator(g: Graph, res: PartitionResult, w, lcd: int) -> EdgeSeparato
     """
     params = res.params
     part = res.partition
-    bound_used = (params.t - 1) * params.p_floor()
-    reference_bound = (params.t - 1) * params.reference_p_floor()
+    bound_used = params.separator_bound()
+    reference_bound = params._replace(c_sep=1).separator_bound()
     loads = [num * (lcd // den) for num, den in map(Fraction.as_integer_ratio, w)]
 
     if part.decomp.n_nodes == 0:

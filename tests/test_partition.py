@@ -13,14 +13,15 @@ from edgesep import (EdgeSeparatorResult, Graph, IsoperimetricWitness, KtCertifi
                      LemmaCheckReport, OracleLimits, Params, PartitionResult,
                      RootedPartition, TreeDecomposition, components,
                      exact_treewidth, has_kt_minor, induced_edge_ids, line_graph,
-                     line_graph_tree_decomposition,
+                     line_graph_tree_decomposition, neighborhood,
                      partition_line_graph, validate_certificate,
                      validate_decomposition, validate_embedding,
                      validate_partition, width)
 from edgesep import partition as engine
 from edgesep import tree_or_sep
 from edgesep.errors import ParameterError
-from edgesep.generators import complete, cycle, grid, outerplanar, path, random_tree, star
+from edgesep.generators import (complete, cycle, grid, outerplanar, path, random_tree, star,
+                                toroidal_grid)
 
 
 class TestParams:
@@ -247,10 +248,10 @@ class TestRecursion:
         enter = engine._enter
 
         def counted(g, params, out, call, stack):
-            pieces, _, _, nbrs, _ = call
+            pieces, roots, _ = call
             if len(pieces) == 1:
                 c = pieces[0].verts
-                empty = sum(1 for nb in nbrs if c.isdisjoint(nb))
+                empty = sum(1 for _, _, nb in roots if c.isdisjoint(nb))
                 before = len(stack)
                 node = enter(g, params, out, call, stack)
                 # an attach waits on the stack as a (roots, slot) pair
@@ -264,6 +265,34 @@ class TestRecursion:
         multi = [(e, a) for e, a in drops if e >= 2]
         assert len(multi) == 11
         assert all(a >= e for e, a in multi)
+
+    @pytest.mark.parametrize("g, t", [
+        (grid(20, 20), 4), (grid(20, 20), 5), (grid(8, 60), 6),
+        (outerplanar(300, 1), 5), (random_tree(500, 500), 5), (path(300), 5),
+        (toroidal_grid(8, 8), 5), (complete(7), 5),
+    ], ids=["grid-20-t4", "grid-20-t5", "grid-8x60-t6", "outerplanar-300",
+            "tree-500", "path-300", "torus-8", "k7"])
+    def test_every_root_record_is_a_model_set_and_its_neighborhood(self, monkeypatch, g, t):
+        # a call carries each root as (slot, U_i, N(U_i)); on entry the U_i
+        # are disjoint, miss C, and each record's N(U_i) is U_i's neighborhood
+        records = []
+        enter = engine._enter
+
+        def checked(g, params, out, call, stack):
+            pieces, roots, _ = call
+            c = set().union(*(p.verts for p in pieces))
+            seen: set = set()
+            for _, u, nb in roots:
+                assert nb == frozenset(neighborhood(g, u))
+                assert seen.isdisjoint(u)
+                assert c.isdisjoint(u)
+                seen.update(u)
+            records.append(len(roots))
+            return enter(g, params, out, call, stack)
+
+        monkeypatch.setattr(engine, "_enter", checked)
+        partition_line_graph(g, t)
+        assert sum(records) > 0
 
     def test_deep_path_runs_within_a_small_recursion_limit(self):
         limit = sys.getrecursionlimit()

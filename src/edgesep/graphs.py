@@ -66,6 +66,9 @@ class Graph:
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
 
+    def marks(self, level: int = 0) -> "Marks":
+        return Marks(self)          # new for each search: a Graph keeps none
+
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
@@ -84,14 +87,22 @@ class LineView:
     take a LineView in place of a Graph.  They open each G-vertex at most
     once and take all of its edges in one step, so they cost O(sum of
     degrees) over what they read, where L(G) itself has sum_v C(deg v, 2)
-    edges.
+    edges.  The view owns the ``Marks`` they run on, made on first use: level
+    0 for them, level h for the tree-or-separator scheme level with h targets.
     """
 
-    __slots__ = ("g", "n")
+    __slots__ = ("g", "n", "_marks")
 
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.m
+        self._marks: dict = {}
+
+    def marks(self, level: int = 0) -> "Marks":
+        """This view's marks for ``level``, made on first use."""
+        if level not in self._marks:
+            self._marks[level] = Marks(self)
+        return self._marks[level]
 
     def has_edge(self, a: int, b: int) -> bool:
         return a != b and not set(self.g.edges[a]).isdisjoint(self.g.edges[b])
@@ -106,68 +117,76 @@ class LineView:
             yield from ((a, b) for b in sorted(set(adj_eids[x] + adj_eids[y])) if b > a)
 
 
+class Marks:
+    """Search marks over the vertices of a Graph or a LineView, never cleared.
+
+    A search takes a new ``epoch`` and stamps ``seen[v]`` with it; ``parent[v]``
+    is the vertex that reached v, None for a source, in the last search that
+    found v.  On a LineView ``opened`` stamps the G-vertices a search opened.
+    """
+
+    __slots__ = ("seen", "parent", "opened", "epoch")
+
+    def __init__(self, g):
+        self.seen = [0] * g.n
+        self.parent: list = [None] * g.n
+        self.opened = [0] * g.g.n if isinstance(g, LineView) else None
+        self.epoch = 0
+
+
 def max_degree(g: Graph) -> int:
     """Maximum vertex degree; 0 for edgeless graphs."""
     return max((len(a) for a in g.adj), default=0) if g.n else 0
 
 
-_SETS = (set, frozenset, type({}.keys()))
-
-
 def _as_set(xs: Iterable[int]):
-    """A set, frozenset or dict keys view as it is; any other iterable as a new set."""
-    return xs if isinstance(xs, _SETS) else set(xs)
+    """A set or frozenset as it is; any other iterable as a new set."""
+    return xs if isinstance(xs, (set, frozenset)) else set(xs)
 
 
-def _next_layer(g, layer, inset, seen, opened, banned, out) -> list:
-    """Append to ``out`` the vertices of ``inset`` next to ``layer`` not in ``seen``.
+def _next_layer(g, layer, inset, marks: Marks, banned, out) -> list:
+    """Append to ``out`` the vertices of ``inset`` next to ``layer`` not yet seen.
 
-    ``g`` is a Graph or a LineView.  Each vertex found is entered in the dict
-    ``seen``, mapped to the vertex of ``layer`` that found it, and appended
-    in the order found: a layer vertex takes its neighbours in ascending id.
-    With ``out`` the list ``layer`` itself, the layer grows as it is read and
-    the whole reachable set is taken.  ``banned`` edge ids of a Graph are
-    skipped.
+    ``g`` is a Graph or a LineView.  Each vertex found is stamped seen in
+    the current epoch of ``marks``, its ``parent`` slot set to the vertex of
+    ``layer`` that found it, and appended in the order found: a layer vertex
+    takes its neighbours in ascending id.  With ``out`` the list ``layer``
+    itself, the layer grows as it is read and the whole reachable set is
+    taken.  ``banned`` edge ids of a Graph are skipped.
 
-    On a LineView a G-vertex in ``opened`` is not opened again: an endpoint
-    opened before gave all of its edges a place in ``seen`` then.  A line
-    vertex with both endpoints new takes their two ascending incidence lists
-    merged, so the view finds neighbours in the order the built L(G) lists
-    them.
+    On a LineView a G-vertex stamped opened is not opened again: its edges
+    got their marks when it was.  A line vertex with both endpoints new
+    takes their two ascending incidence lists merged, so the view finds
+    neighbours in the order the built L(G) lists them.
     """
+    ep, seen, parent = marks.epoch, marks.seen, marks.parent
     if isinstance(g, LineView):
-        edges, adj_eids = g.g.edges, g.g.adj_eids
+        edges, adj_eids, opened = g.g.edges, g.g.adj_eids, marks.opened
         for e in layer:
             a, b = edges[e]
-            if a in opened:
-                if b in opened:
+            if opened[a] == ep:
+                if opened[b] == ep:
                     continue
-                opened.add(b)
+                opened[b] = ep
                 nbrs = adj_eids[b]
-            elif b in opened:
-                opened.add(a)
+            elif opened[b] == ep:
+                opened[a] = ep
                 nbrs = adj_eids[a]
             else:
-                opened.add(a)
-                opened.add(b)
+                opened[a] = opened[b] = ep
                 nbrs = sorted(adj_eids[a] + adj_eids[b])    # merges two ascending runs
             for f in nbrs:
-                if f in inset and f not in seen:
-                    seen[f] = e
+                if seen[f] != ep and f in inset:
+                    seen[f] = ep
+                    parent[f] = e
                     out.append(f)
-    elif banned:
+    else:
         adj, adj_eids = g.adj, g.adj_eids
         for v in layer:
             for u, eid in zip(adj[v], adj_eids[v]):
-                if u in inset and u not in seen and eid not in banned:
-                    seen[u] = v
-                    out.append(u)
-    else:
-        adj = g.adj
-        for v in layer:
-            for u in adj[v]:
-                if u in inset and u not in seen:
-                    seen[u] = v
+                if seen[u] != ep and u in inset and eid not in banned:
+                    seen[u] = ep
+                    parent[u] = v
                     out.append(u)
     return out
 
@@ -176,21 +195,21 @@ def components(g, within: Optional[Iterable[int]] = None,
                banned_edges: Iterable[int] = ()) -> list[VertexSet]:
     """Connected components of the induced subgraph on ``within``.
 
-    ``g`` is a Graph or a LineView.  ``banned_edges`` removes individual
-    edges of a Graph from the view.  Each component is a sorted vertex
-    tuple; the list is ordered by smallest contained id.  A caller's set or
-    frozenset is read as is, never copied.
+    ``g`` is a Graph or a LineView, searched on its level-0 marks.
+    ``banned_edges`` removes individual edges of a Graph from the view.  Each
+    component is a sorted vertex tuple; the list is ordered by smallest
+    contained id.  A caller's set or frozenset is read as is, never copied.
     """
     inset = range(g.n) if within is None else _as_set(within)
     banned = set(banned_edges)
-    seen: dict = {}
-    opened: set[int] = set()
+    marks = g.marks()
+    marks.epoch = ep = marks.epoch + 1
     out = []
     for s in inset:
-        if s not in seen:
-            seen[s] = None
+        if marks.seen[s] != ep:
+            marks.seen[s] = ep
             comp = [s]
-            _next_layer(g, comp, inset, seen, opened, banned, comp)
+            _next_layer(g, comp, inset, marks, banned, comp)
             comp.sort()
             out.append(tuple(comp))
     out.sort()          # disjoint sorted tuples: ordered by least vertex
@@ -238,28 +257,34 @@ def bfs_layers(g, sources: Iterable[int],
     ``within`` at induced distance exactly j, as a sorted tuple; unreachable
     vertices are omitted.  Layer 0 is the source set itself.  With ``depth``
     set, the search stops after layer ``depth``: only the adjacency of the
-    earlier layers is read.  ``parent`` is read as ``_found_layers`` reads it.
+    earlier layers is read.  A dict passed as ``parent`` is filled with the
+    parent map, in the order found (None for a source).
     """
-    return [tuple(sorted(layer)) for layer in _found_layers(g, sources, within, depth, parent)]
+    marks = g.marks()
+    layers = _found_layers(g, sources, within, depth, marks)
+    if parent is not None:
+        parent.update((v, marks.parent[v]) for layer in layers for v in layer)
+    return [tuple(sorted(layer)) for layer in layers]
 
 
-def _found_layers(g, sources, within=None, depth=None, parent=None) -> list[list]:
+def _found_layers(g, sources, within=None, depth=None, marks=None) -> list[list]:
     """The layers of ``bfs_layers``, each the list the search filled, unsorted.
 
     The search starts from the sorted sources and expands each layer in the
-    order it found its vertices; an empty dict passed as ``parent`` is filled
-    with its parent map, in that order (None for a source).
+    order it found its vertices, on a new epoch of ``marks`` (by default g's
+    level-0 marks), whose ``parent`` array then holds its parent map.
     """
     inset = range(g.n) if within is None else _as_set(within)
     layer = sorted(set(sources))
     if any(s not in inset for s in layer):
         raise ValueError("sources must lie inside the working vertex set")
-    seen = {} if parent is None else parent
-    seen.update(dict.fromkeys(layer))
+    marks = g.marks() if marks is None else marks
+    marks.epoch = ep = marks.epoch + 1
+    for s in layer:
+        marks.seen[s], marks.parent[s] = ep, None
     layers = [layer] if layer else []
-    opened: set[int] = set()
     while layer and (depth is None or len(layers) <= depth):
-        layer = _next_layer(g, layer, inset, seen, opened, (), [])
+        layer = _next_layer(g, layer, inset, marks, (), [])
         if layer:
             layers.append(layer)
     return layers

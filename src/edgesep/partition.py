@@ -20,7 +20,7 @@ from collections import deque
 from typing import NamedTuple, Optional, Union
 
 from .errors import ParameterError
-from .graphs import (Graph, components, edges_between, max_degree,
+from .graphs import (Graph, LineView, components, edges_between, max_degree,
                      neighborhood, validate_model)
 from .tree_or_sep import (Budget, _one_target_tree, edge_tree_or_separator,
                           minimalize_edge_separator)
@@ -138,11 +138,12 @@ class _Builder:
     uses of the slot map to that part, as a merge at the root would.
     """
 
-    def __init__(self):
+    def __init__(self, g: Graph):
         self.parts: list = []
         self.h_edges: set = set()
         self.decomp = Decomposition()
         self._slots: list = []      # per slot: its edge set, then its part id
+        self.line = LineView(g)     # the run's searches share its marks
 
     def slot(self, edges) -> int:
         self._slots.append(edges)
@@ -371,7 +372,7 @@ def _enter(g, params, out: _Builder, call: tuple, stack):
                 e_new.append(e)
     else:   # C is connected with |C| > 1, so no vertex of it is isolated in E(C)
         tos = edge_tree_or_separator(g, targets, params.r_of(h), within=c,
-                                     inner=piece.inner_edges(g))
+                                     inner=piece.inner_edges(g), line=out.line)
         if not tos.is_tree():
             return _separate(g, params, out, piece, tos, targets, roots, measure, stack)
         tv = tos.tree_vertices
@@ -451,7 +452,7 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
     and the vertex itself the first model set.
     """
     params = Params.for_graph(g, t)
-    out = _Builder()
+    out = _Builder(g)
     node = None
     roots: tuple = ()
     for comp in components(g):

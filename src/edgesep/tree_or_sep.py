@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParameterError
 from .graphs import (EdgeSet, Graph, LineView, VertexSet, _as_set, _found_layers,
-                     components, edges_between, induced_edge_ids)
+                     components, induced_edge_ids)
 
 class Budget:
     """The exact radius budget sqrt(num/den) - s, for integers num >= 0, den > 0, s.
@@ -198,8 +198,8 @@ def _vertex_scheme(g, tsets, r_exact, work):
         if v in tsets[-1]:
             return "tree", (v,), (), None
 
-    parent: dict = {}
-    layers = _found_layers(g, tsets[-1], within=work, depth=k, parent=parent)
+    marks = g.marks(h)     # its parents outlive the sub-levels' searches
+    layers = _found_layers(g, tsets[-1], within=work, depth=k, marks=marks)
     sizes = [len(layers[j]) if j < len(layers) else 0 for j in range(k + 1)]
     j_star = min(range(1, k + 1), key=lambda j: (sizes[j], j))
 
@@ -210,7 +210,8 @@ def _vertex_scheme(g, tsets, r_exact, work):
     # layer 0 makes the whole ball one component.  A search that ran out
     # before layer k reached the ball and nothing else.
     z_parts = [layers[j_star] if j_star < len(layers) else ()]
-    ball = parent.keys() if j_star == len(layers) else set().union(*layers[:j_star])
+    ball = layers[:j_star]
+    ball = work if sum(map(len, ball)) == len(work) else set().union(*ball)
     if connected:
         comps = [ball]
     else:
@@ -221,21 +222,21 @@ def _vertex_scheme(g, tsets, r_exact, work):
         sub_targets = [t & cset for t in tsets[:-1]]
         kind, tv, te, sep = _vertex_scheme(g, sub_targets, sub_budget, cset)
         if kind == "tree":
-            verts, edges = _extend_to(parent, set(tv), list(te))
+            verts, edges = _extend_to(layers, marks.parent, set(tv), list(te))
             return "tree", verts, edges, None
         z_parts.append(sep)
     z = tuple(sorted(set(v for part in z_parts for v in part)))
     return "separator", None, None, z
 
 
-def _extend_to(parent, tree_verts, tree_edges):
+def _extend_to(layers, parent, tree_verts, tree_edges):
     """Join the tree to the last target along the layered search's ``parent`` map.
 
-    The first tree vertex the search found and its ancestors form a shortest
-    path from the target (module docstring); no ancestor is in the tree, so
-    the union stays acyclic.
+    The first tree vertex the search found, read off its ``layers``, and its
+    ancestors form a shortest path from the target (module docstring); no
+    ancestor is in the tree, so the union stays acyclic.
     """
-    v = next(v for v in parent if v in tree_verts)
+    v = next(v for layer in layers for v in layer if v in tree_verts)
     u = parent[v]
     while u is not None:
         tree_edges.append((u, v) if u < v else (v, u))
@@ -258,7 +259,7 @@ def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator,
         verts = set(res.tree_vertices)
         assert verts <= work, "tree leaves the working set"
         assert len(res.tree_edges) == len(verts) - 1, "tree edge count"
-        seen, _ = _span(res.tree_edges, min(verts))
+        seen, _ = _span(res.tree_edges, min(verts), ordered=False)
         assert seen == verts, "tree is not connected"
         for u, v in res.tree_edges:
             assert g.has_edge(u, v), "tree uses a non-edge"
@@ -280,12 +281,12 @@ def _verify_vertex(g, tsets, r_exact, work, res: TreeOrSeparator,
             assert not set.intersection(*met), "a component still meets every target"
 
 
-def _span(pairs, start):
+def _span(pairs, start, ordered=True):
     """BFS from ``start`` over the edges ``pairs``, a sequence of vertex pairs.
 
     Returns the vertices reached and the indices of the pairs a BFS tree
     uses; each vertex takes its neighbours in ascending (vertex, index)
-    order.
+    order, or, not ``ordered``, in the order the pairs list them.
     """
     adj: dict[int, list[tuple[int, int]]] = {}
     for i, (u, v) in enumerate(pairs):
@@ -295,7 +296,7 @@ def _span(pairs, start):
     picked = []
     order = [start]
     for x in order:                     # order grows as it is read: the BFS queue
-        for y, i in sorted(adj.get(x, ())):
+        for y, i in sorted(adj.get(x, ())) if ordered else adj.get(x, ()):
             if y not in seen:
                 seen.add(y)
                 picked.append(i)
@@ -305,7 +306,8 @@ def _span(pairs, start):
 
 def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
                            within: Optional[Iterable[int]] = None,
-                           inner: Optional[set] = None) -> TreeOrSeparator:
+                           inner: Optional[set] = None,
+                           line: Optional[LineView] = None) -> TreeOrSeparator:
     """Edge flavor, via the vertex flavor on a ``LineView`` of g.
 
     Incidence edge sets of the targets play the target role in the line
@@ -316,7 +318,8 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
     zero-edge tree.
 
     A caller that already holds E(C) for a view without isolated vertices
-    passes it as ``inner``; it is trusted, and read as is.
+    passes it as ``inner``; it is trusted, and read as is.  The search runs on
+    the marks of ``line``, a caller's LineView of g kept across calls, if given.
     """
     work, tsets = _checked(g, targets, within)
     h = len(tsets)
@@ -343,8 +346,9 @@ def edge_tree_or_separator(g: Graph, targets: Sequence[Iterable[int]], r,
 
     # the line targets lie in E(C), and r >= 1: the search runs as the
     # vertex flavor would run it, and its line contract is re-checked below
-    line = LineView(g)
-    line_targets = [frozenset(edges_between(g, t, work)) for t in tsets]
+    line = LineView(g) if line is None else line
+    line_targets = [frozenset(e for v in t for u, e in zip(g.adj[v], g.adj_eids[v])
+                              if u in work) for t in tsets]
     sub = _vertex_result(h, *_vertex_scheme(line, line_targets, r_exact, eid_set))
 
     if sub.is_tree():
@@ -422,7 +426,7 @@ def _verify_edge(g, tsets, r_exact, work, res: TreeOrSeparator,
         assert len(verts) == len(tree_edges) + 1, "tree vertex/edge count"
         if tree_edges:
             pairs = [g.endpoints(e) for e in tree_edges]
-            seen, _ = _span(pairs, min(verts))
+            seen, _ = _span(pairs, min(verts), ordered=False)
             assert seen == verts, "edge tree is not connected"
             assert len(tree_edges) <= r_exact, "edge tree exceeds the budget"
         for i, t in enumerate(tsets):

@@ -38,10 +38,15 @@ def graphs(draw, max_n=8):
     return Graph(n, edges)
 
 
-def deque_shortest_path(g, sources, within, stop) -> list:
-    """Reference for ``extension``: one deque BFS with a branch per graph kind."""
-    sources = sorted(sources)
+def deque_search(g, sources, within, depth=None):
+    """Reference search: one deque BFS with a branch per graph kind.
+
+    Returns its parent map, in the order found, and the distance of each
+    vertex found; with ``depth`` set, vertices that far out are not expanded.
+    """
+    sources = sorted(set(sources))
     parent = dict.fromkeys(sources)
+    dist = dict.fromkeys(sources, 0)
     dq = deque(sources)
     line = isinstance(g, LineView)
     if line:
@@ -49,12 +54,8 @@ def deque_shortest_path(g, sources, within, stop) -> list:
         opened = set()
     while dq:
         v = dq.popleft()
-        if v in stop:
-            path = [v]
-            while parent[v] is not None:
-                v = parent[v]
-                path.append(v)
-            return path
+        if dist[v] == depth:
+            continue
         if line:
             a, b = edges[v]
             if a in opened:
@@ -74,21 +75,33 @@ def deque_shortest_path(g, sources, within, stop) -> list:
         for u in nbrs:
             if u in within and u not in parent:
                 parent[u] = v
+                dist[u] = dist[v] + 1
                 dq.append(u)
-    return []
+    return parent, dist
+
+
+def deque_shortest_path(g, sources, within, stop) -> list:
+    """Reference for ``extension``: back from the first vertex of ``stop`` found."""
+    parent, _ = deque_search(g, sources, within)
+    v = next((v for v in parent if v in stop), None)
+    path = []
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    return path
 
 
 def extension(g, sources, within, stop):
-    """What the tree extension adds to a tree ``stop`` on ``bfs_layers``' parent map.
+    """What the tree extension adds to a tree ``stop`` on a search's parent array.
 
-    ``tree_or_sep._extend_to`` walks the map back from the first vertex of
+    ``tree_or_sep._extend_to`` walks the array back from the first vertex of
     ``stop`` the search found; None when it found none.
     """
-    parent = {}
-    bfs_layers(g, sources, within=within, parent=parent)
-    if parent.keys().isdisjoint(stop):
+    marks = g.marks()
+    layers = _found_layers(g, sources, within=within, marks=marks)
+    if all(set(layer).isdisjoint(stop) for layer in layers):
         return None
-    return _extend_to(parent, set(stop), [])
+    return _extend_to(layers, marks.parent, set(stop), [])
 
 
 def as_extension(path, stop):
@@ -331,6 +344,35 @@ def line_views(draw):
     assume(g.m)
     within = frozenset(draw(st.lists(st.integers(0, g.m - 1), min_size=1, unique=True)))
     return g, within
+
+
+class TestSharedMarks:
+    """Searches in a row on one set of marks give what fresh searches give."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(line_views(), st.data())
+    def test_searches_in_a_row_match_the_reference(self, view, data):
+        # on a LineView the searches run on the view's own level-0 marks, as
+        # components does; on a Graph, on one Marks made once and passed in
+        g, _ = view
+        for kind in (LineView(g), g):
+            marks, ids = kind.marks(), list(range(kind.n))
+            for _ in range(data.draw(st.integers(1, 6))):
+                within = frozenset(data.draw(st.just(ids) | st.lists(
+                    st.sampled_from(ids), min_size=1, unique=True)))
+                sources = data.draw(st.lists(st.sampled_from(sorted(within)), min_size=1,
+                                             max_size=3, unique=True))
+                depth = data.draw(st.none() | st.integers(0, 4))
+                layers = _found_layers(kind, sources, within, depth, marks)
+                parent, dist = deque_search(kind, sources, within, depth)
+                found = [v for layer in layers for v in layer]
+                assert found == list(parent)
+                assert [marks.parent[v] for v in found] == list(parent.values())
+                assert [dist[v] for v in found] == \
+                    [j for j, layer in enumerate(layers) for _ in layer]
+                if data.draw(st.booleans()):
+                    fresh = LineView(g) if kind is not g else Graph(g.n, g.edges)
+                    assert components(kind, within=within) == components(fresh, within=within)
 
 
 class TestLineView:

@@ -17,8 +17,8 @@ from edgesep import (EdgeSeparatorResult, Graph, IsoperimetricWitness, KtCertifi
                      partition_line_graph, validate_certificate,
                      validate_decomposition, validate_embedding,
                      validate_partition, width)
+from edgesep import graphs, tree_or_sep
 from edgesep import partition as engine
-from edgesep import tree_or_sep
 from edgesep.errors import ParameterError
 from edgesep.generators import (complete, cycle, grid, outerplanar, path, random_tree, star,
                                 toroidal_grid)
@@ -325,10 +325,10 @@ class TestOneScanPerSeparator:
         induced = tree_or_sep.induced_edge_ids
         search = engine.edge_tree_or_separator
 
-        def logged_search(g, targets, r, within=None, inner=None):
+        def logged_search(g, targets, r, within=None, inner=None, line=None):
             at = len(log)
             log.append(("search", frozenset(within), None))
-            res = search(g, targets, r, within=within, inner=inner)
+            res = search(g, targets, r, within=within, inner=inner, line=line)
             log[at] = ("search", log[at][1], res.kind)
             return res
 
@@ -348,6 +348,30 @@ class TestOneScanPerSeparator:
                 assert ("induced_edge_ids", None) not in window
                 scans.append(sum(entry == ("components", c) for entry in window))
         assert scans == [1] * 9
+
+
+class TestRunMarks:
+    """A run searches on the marks of one line view, made when first needed."""
+
+    def test_one_view_per_run_and_marks_per_level(self, monkeypatch):
+        views, made = [], []
+        view_class, marks_class = engine.LineView, graphs.Marks
+
+        def recorded(g):
+            views.append(view_class(g))
+            return views[-1]
+
+        monkeypatch.setattr(engine, "LineView", recorded)
+        monkeypatch.setattr(graphs, "Marks", lambda g: made.append(type(g)) or marks_class(g))
+        partition_line_graph(grid(32, 32), 5)
+        # level 0 for components, one per scheme level h = 2, 3; not one per step
+        assert len(views) == 1 and sorted(views[0]._marks) == [0, 2, 3]
+        assert made.count(view_class) == 3
+        views.clear()
+        made.clear()
+        partition_line_graph(path(300), 5)      # no step has h >= 2 targets
+        assert len(views) == 1 and not views[0]._marks
+        assert view_class not in made
 
 
 @st.composite
@@ -404,12 +428,12 @@ class TestCarriedInnerEdges:
         original = engine.edge_tree_or_separator
         checked = []
 
-        def checking(g, targets, r, within=None, inner=None):
+        def checking(g, targets, r, within=None, inner=None, line=None):
             if len(targets) >= 2:
                 assert inner is not None
                 assert set(inner) == set(induced_edge_ids(g, within))
                 checked.append(len(inner))
-            return original(g, targets, r, within=within, inner=inner)
+            return original(g, targets, r, within=within, inner=inner, line=line)
 
         monkeypatch.setattr(engine, "edge_tree_or_separator", checking)
         partition_line_graph(make(), t)

@@ -12,7 +12,7 @@ from edgesep import (Graph, LineView, components, edge_tree_or_separator,
                      induced_edge_ids, line_graph, minimalize_edge_separator,
                      vertex_tree_or_separator)
 from edgesep import graphs, tree_or_sep
-from edgesep.graphs import _next_layer, bfs_layers
+from edgesep.graphs import bfs_layers
 from edgesep.tree_or_sep import Budget
 from edgesep.errors import ParameterError
 from edgesep.generators import grid, path
@@ -442,19 +442,14 @@ def shortest_path(g, sources, within, stop) -> list:
     ascending id.  The path is returned from its end in ``stop`` back to its
     source; it is empty when ``stop`` is out of reach.
     """
-    layer = sorted(sources)
-    parent = dict.fromkeys(layer)
-    opened = set()
-    while layer:
-        v = next((v for v in layer if v in stop), None)
-        if v is not None:
-            path = [v]
-            while parent[v] is not None:
-                v = parent[v]
-                path.append(v)
-            return path
-        layer = _next_layer(g, layer, within, parent, opened, (), [])
-    return []
+    parent: dict = {}
+    bfs_layers(g, sources, within=within, parent=parent)
+    v = next((v for v in parent if v in stop), None)
+    path = []
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    return path
 
 
 def layered_scheme(g, tsets, r_exact, work):
@@ -683,6 +678,21 @@ class TestLineSeparatorCheck:
 
 class TestOneSearchPerLevel:
     """Each scheme level searches once; the tree extension reads its parent map."""
+
+    def test_an_h3_extension_runs_through_the_inner_levels_ball(self):
+        # L(P_8) is the path 0..6.  The h = 3 level searches from 6 and its
+        # ball is all of it; the h = 2 level then searches from 3 inside that
+        # ball and joins 0 to 3.  The h = 3 extension walks 3, 4, 5, 6 on its
+        # own parents, which the h = 2 search, from 3, would have overwritten
+        view = LineView(path(8))
+        tsets = [frozenset({0}), frozenset({3}), frozenset({6})]
+        got = vertex_tree_or_separator(view, tsets, 14)
+        assert (got.tree_vertices, got.tree_edges) == \
+            (tuple(range(7)), tuple((i, i + 1) for i in range(6)))
+        assert sorted(view._marks) == [0, 2, 3]
+        work = frozenset(range(7))
+        assert tree_or_sep._vertex_scheme(view, tsets, Budget.of(14), work) == \
+            layered_scheme(view, tsets, Budget.of(14), work)
 
     def test_grid_32_search_counts(self, monkeypatch):
         # t = 5; each level's searches are recorded in the order made: the

@@ -26,8 +26,8 @@ from .graphs import Graph, LineView, components, validate_model
 from .partition import (KtCertificate, Params, RootedPartition,
                         partition_line_graph, validate_certificate,
                         validate_embedding, validate_partition)
-from .separator import (isoperimetric_witness, separator_from_partition,
-                        uniform_weights)
+from .separator import (check_weights, isoperimetric_witness,
+                        separator_from_partition, uniform_weights)
 from .treedecomp import TreeDecomposition, product_blowup, validate_decomposition, width
 
 SCHEMA = "edgesep-report/1"
@@ -100,10 +100,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------------ helpers
 
 def _read_text(path_or_none) -> str:
-    if path_or_none:
-        with open(path_or_none) as fh:
-            return fh.read()
-    return sys.stdin.read()
+    """The file's text, or stdin's; text that is not UTF-8 is a FormatError."""
+    try:
+        if path_or_none:
+            with open(path_or_none, encoding="utf-8") as fh:
+                return fh.read()
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path_or_none or 'stdin'}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _read_graph(args) -> Graph:
@@ -184,6 +188,9 @@ def _cmd_artifact(args) -> int:
         if args.weights and args.uniform:
             raise ParameterError("choose either --weights or --uniform")
         weights = _read_weights(args, g.n)
+        if args.weights:
+            # invalid weights are a usage error even where G has a K_t model
+            check_weights(g, weights)
     started = time.perf_counter()
     if args.command == "iso":
         res = isoperimetric_witness(g, args.t)

@@ -34,54 +34,64 @@ def _guard(value: int, limit: int, what: str) -> None:
         raise OracleLimitError(f"{what}: instance size {value} exceeds oracle limit {limit}")
 
 
+# ------------------------------------------------------------- bit masks
+
+def _bit_adjacency(n: int, pairs) -> list:
+    """adj[v] is the bit mask of v's neighbours among the vertex pairs."""
+    adj = [0] * n
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _neighbours(mask: int, adj: list) -> int:
+    """The union of adj[v] over the vertices v of mask."""
+    nb = 0
+    while mask:
+        low = mask & -mask
+        nb |= adj[low.bit_length() - 1]
+        mask ^= low
+    return nb
+
+
+def _reach(seed: int, within: int, adj: list) -> int:
+    """The vertices of within joined to seed by paths inside within."""
+    comp = grow = seed
+    while grow:
+        grow = _neighbours(grow, adj) & within & ~comp
+        comp |= grow
+    return comp
+
+
 # ------------------------------------------------------------- treewidth
 
 def exact_treewidth(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> int:
-    """Exact treewidth by dynamic programming over elimination prefixes."""
+    """Exact treewidth by dynamic programming over elimination prefixes.
+
+    f[s] is the least width of eliminating s first.  Eliminating v last in s
+    costs the vertices outside s adjacent to v's component C in G[s], so the
+    cost is found once per component and shared by every v in C.
+    """
     _guard(g.n, limits.max_vertices_tw, "exact_treewidth")
     n = g.n
     if n == 0:
         return -1
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    def back_degree(prefix: int, v: int) -> int:
-        # vertices outside prefix+{v} adjacent to the component of v in prefix+{v}
-        comp = 1 << v
-        grow = adj[v] & prefix
-        while grow:
-            comp |= grow
-            nxt = 0
-            m = grow
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            grow = nxt & prefix & ~comp
-        reach = 0
-        m = comp
-        while m:
-            low = m & -m
-            reach |= adj[low.bit_length() - 1]
-            m ^= low
-        return (reach & ~prefix & ~(1 << v)).bit_count()
-
-    big = n + 1
-    f = [big] * (1 << n)
+    adj = _bit_adjacency(n, g.edges)
+    f = [n + 1] * (1 << n)
     f[0] = -1
     for s in range(1, 1 << n):
-        best = big
-        m = s
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            prev = s ^ low
-            cand = max(f[prev], back_degree(prev, v))
-            if cand < best:
-                best = cand
-            m ^= low
+        best = n + 1
+        rest = s
+        while rest:
+            comp = _reach(rest & -rest, s, adj)
+            rest ^= comp
+            cost = (_neighbours(comp, adj) & ~s).bit_count()
+            m = comp
+            while m and cost < best:
+                low = m & -m
+                best = min(best, max(f[s ^ low], cost))
+                m ^= low
         f[s] = best
     return f[(1 << n) - 1]
 
@@ -120,10 +130,7 @@ def exact_isoperimetric(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> Frac
     n = g.n
     if n < 2:
         raise ParameterError("isoperimetric number needs at least 2 vertices")
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = _bit_adjacency(n, g.edges)
     best: Optional[Fraction] = None
     half = n // 2
     for mask in range(1, 1 << n):
@@ -153,46 +160,17 @@ def has_kt_minor(g: Graph, t: int,
     n = g.n
     if n < t or (t >= 2 and g.m < t * (t - 1) // 2):
         return False, None
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    connected = []
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        comp = low
-        while True:
-            grow = 0
-            m = comp
-            while m:
-                b = m & -m
-                grow |= adj[b.bit_length() - 1]
-                m ^= b
-            grow &= mask & ~comp
-            if not grow:
-                break
-            comp |= grow
-        if comp == mask:
-            nb = 0
-            m = mask
-            while m:
-                b = m & -m
-                nb |= adj[b.bit_length() - 1]
-                m ^= b
-            connected.append((mask & -mask, mask, nb & ~mask))
-    connected.sort()
-
-    def mask_to_set(mask):
-        return tuple(i for i in range(n) if mask >> i & 1)
+    adj = _bit_adjacency(n, g.edges)
 
     # candidates carry (min vertex bit, member mask, neighbor mask); sorting by
     # min vertex makes "branch sets listed by ascending minimum" canonical
-    cand = sorted(connected)
+    cand = sorted((mask & -mask, mask, _neighbours(mask, adj) & ~mask)
+                  for mask in range(1, 1 << n)
+                  if _reach(mask & -mask, mask, adj) == mask)
 
     def go(start_idx, used, chosen):
         if len(chosen) == t:
-            return tuple(mask_to_set(c) for c in chosen)
+            return tuple(tuple(i for i in range(n) if c >> i & 1) for c in chosen)
         remaining = t - len(chosen)
         for idx in range(start_idx, len(cand)):
             _, mask, nb = cand[idx]
@@ -261,11 +239,8 @@ def _small_tree_exists(g: Graph, tsets, max_verts: int, work: set) -> bool:
     verts = sorted(work)
     n = len(verts)
     pos = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for u, v in g.edges:
-        if u in work and v in work:
-            adj[pos[u]] |= 1 << pos[v]
-            adj[pos[v]] |= 1 << pos[u]
+    adj = _bit_adjacency(n, ((pos[u], pos[v]) for u, v in g.edges
+                             if u in work and v in work))
     tmasks = []
     for t in tsets:
         mask = 0
@@ -277,18 +252,6 @@ def _small_tree_exists(g: Graph, tsets, max_verts: int, work: set) -> bool:
             continue
         if any(not (mask & tm) for tm in tmasks):
             continue
-        comp = mask & -mask
-        while True:
-            grow = 0
-            m = comp
-            while m:
-                b = m & -m
-                grow |= adj[b.bit_length() - 1]
-                m ^= b
-            grow &= mask & ~comp
-            if not grow:
-                break
-            comp |= grow
-        if comp == mask:
+        if _reach(mask & -mask, mask, adj) == mask:
             return True
     return False

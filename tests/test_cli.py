@@ -196,6 +196,28 @@ class TestSeparate:
         assert code == 2 and "malformed weight" in err
         assert calls == []
 
+    @pytest.mark.parametrize("family", [["path", "2000"], ["complete", "7"]],
+                             ids=["path-2000", "complete-7"])
+    def test_weights_not_summing_to_one_fail_before_any_partition(self, family, tmp_path,
+                                                                  monkeypatch):
+        # K_7 holds a K_5 minor: bad weights are still a usage error, not a certificate
+        g = tmp_path / "g.gr"
+        g.write_text(run_cli(["gen", *family])[1])
+        w = tmp_path / "w.w"
+        w.write_text("1 1/3\n")
+        calls = []
+        monkeypatch.setattr(cli, "partition_line_graph", lambda *a: calls.append(a))
+        assert run_cli_stderr(["separate", str(g), "--t", "5", "--weights", str(w)]) == \
+            (2, "error: weights must sum to exactly 1\n")
+        assert calls == []
+
+    def test_valid_weights_on_a_kt_minor_graph_still_exit_3(self, tmp_path):
+        g = tmp_path / "k7.gr"
+        g.write_text(emit_graph(complete(7)))
+        w = tmp_path / "w.w"
+        w.write_text("".join(f"{i} 1/7\n" for i in range(1, 8)))
+        assert run_cli(["separate", str(g), "--t", "5", "--weights", str(w)])[0] == 3
+
 
 class TestIso:
     def test_grid_witness(self, grid_file):
@@ -350,6 +372,20 @@ class TestVerify:
         for kind in ("model", "partition", "separator"):
             code, err = run_cli_stderr(["verify", kind, str(art), "--against", grid_file])
             assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("source", ["graph", "against", "artifact", "weights"])
+    def test_text_that_is_not_utf8_is_a_usage_error(self, source, grid_file, tmp_path):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"p tw 2 1\n1 2\xff\n")
+        art = tmp_path / "s.json"
+        run_cli(["separate", grid_file, "--t", "5", "--uniform", "--out", str(art)])
+        argv = {"graph": ["partition", str(bad), "--t", "5"],
+                "against": ["verify", "separator", str(art), "--against", str(bad)],
+                "artifact": ["verify", "separator", str(bad), "--against", grid_file],
+                "weights": ["separate", grid_file, "--t", "5", "--weights", str(bad)]}
+        code, err = run_cli_stderr(argv[source])
+        assert (code, err) == (2, f"error: {bad}: not UTF-8 text at byte 12\n")
+        assert "Traceback" not in err
 
     def test_model_artifact(self, tmp_path):
         g = tmp_path / "k8.gr"

@@ -1,9 +1,12 @@
 """Brute-force oracles: pinned values and second-strategy double checks."""
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesep import (Graph, components, edges_between, exact_isoperimetric,
                      exact_treewidth, has_kt_minor, min_balanced_edge_separator,
@@ -11,6 +14,7 @@ from edgesep import (Graph, components, edges_between, exact_isoperimetric,
 from edgesep.errors import OracleLimitError, ParameterError
 from edgesep.generators import complete, cycle, grid, path, random_tree, star
 from edgesep.oracles import OracleLimits, edge_lemma_contract_check
+from test_graphs import graphs
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 6),
                       (2, 7), (3, 8), (4, 9), (5, 7), (7, 9), (9, 6), (6, 8),
@@ -44,6 +48,17 @@ def treewidth_by_orderings(g: Graph, limit: int = 8) -> int:
 
     go(adj0, 0)
     return best[0]
+
+
+def small_tree_by_combinations(g: Graph, targets, r, within) -> bool:
+    """Second, independent strategy: a connected subset of at most
+    floor(r) + 1 vertices of ``within`` that meets every target."""
+    for size in range(1, math.floor(r) + 2):
+        for s in combinations(sorted(within), size):
+            if all(set(s) & set(t) for t in targets) \
+                    and len(components(g, within=s)) == 1:
+                return True
+    return False
 
 
 def kt_minor_by_assignment(g: Graph, t: int, limit: int = 6) -> bool:
@@ -82,6 +97,12 @@ class TestExactTreewidth:
                   Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (2, 4)])):
             assert exact_treewidth(g) == treewidth_by_orderings(g)
         assert exact_treewidth(grid(3, 3)) == treewidth_by_orderings(grid(3, 3), limit=9) == 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graphs(7))
+    def test_double_check_on_drawn_graphs(self, g):
+        # the DP closes each component of G[s] once: disconnected G[s] matter
+        assert exact_treewidth(g) == treewidth_by_orderings(g)
 
 
 class TestMinBalancedEdgeSeparator:
@@ -172,6 +193,14 @@ class TestHasKtMinor:
                      (grid(2, 3), 3), (star(6), 3)):
             assert has_kt_minor(g, t)[0] == kt_minor_by_assignment(g, t)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graphs(6), st.integers(1, 4))
+    def test_double_check_on_drawn_graphs(self, g, t):
+        found, model = has_kt_minor(g, t)
+        assert found == kt_minor_by_assignment(g, t)
+        if found:
+            assert validate_model(g, model) == (True, None) and len(model) == t
+
     def test_limit_guard(self):
         with pytest.raises(OracleLimitError):
             has_kt_minor(grid(4, 4), 5)
@@ -192,6 +221,19 @@ class TestEdgeLemmaCheck:
     def test_single_target_always_has_a_tree(self):
         report = edge_lemma_contract_check(path(5), [(3,)], 1)
         assert report.tree_exists and report.outcome == "tree"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(graphs(9).filter(lambda g: g.m), st.data())
+    def test_tree_exists_agrees_with_combinations(self, g, data):
+        # the working set is spanned by drawn edges, so no vertex of it is isolated
+        eids = data.draw(st.sets(st.integers(0, g.m - 1), min_size=1, max_size=8))
+        within = sorted({v for e in eids for v in g.edges[e]})
+        targets = data.draw(st.lists(st.lists(st.sampled_from(within), min_size=1, max_size=2),
+                                     min_size=2, max_size=6))
+        r = data.draw(st.fractions(1, 3, max_denominator=2))
+        report = edge_lemma_contract_check(g, targets, r, within=within)
+        assert report.tree_exists == small_tree_by_combinations(g, targets, r, within)
+        assert report.contract_ok
 
 
 class TestPreconditions:

@@ -26,8 +26,7 @@ from .graphs import Graph, LineView, components, validate_model
 from .partition import (KtCertificate, Params, RootedPartition,
                         partition_line_graph, validate_certificate,
                         validate_embedding, validate_partition)
-from .separator import (check_weights, isoperimetric_witness,
-                        separator_from_partition, uniform_weights)
+from .separator import _sink_separator, check_weights, isoperimetric_witness, uniform_weights
 from .treedecomp import TreeDecomposition, product_blowup, validate_decomposition, width
 
 SCHEMA = "edgesep-report/1"
@@ -187,10 +186,10 @@ def _cmd_artifact(args) -> int:
     if args.command == "separate":
         if args.weights and args.uniform:
             raise ParameterError("choose either --weights or --uniform")
-        weights = _read_weights(args, g.n)
-        if args.weights:
-            # invalid weights are a usage error even where G has a K_t model
-            check_weights(g, weights)
+        w = _read_weights(args, g.n)
+        # invalid weights are a usage error even where G has a K_t model;
+        # the report reuses the common denominator the check returns
+        weights = (w, check_weights(g, w))
     started = time.perf_counter()
     if args.command == "iso":
         res = isoperimetric_witness(g, args.t)
@@ -256,7 +255,7 @@ def _tdlg_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
 
 
 def _separate_report(g: Graph, args, res, weights) -> tuple[dict, int]:
-    sep = separator_from_partition(g, res, weights)
+    sep = _sink_separator(g, res, *weights)
     return {
         "schema": SCHEMA,
         "kind": "separator",
@@ -293,6 +292,7 @@ def _cmd_verify(args) -> int:
     text = _read_text(args.artifact)
     if args.kind == "td":
         d, declared_n = parse_decomposition(text)
+        del text                    # the checks read only the parsed artifact
         target = LineView(g) if args.line else g
         ok, why = validate_decomposition(target, d)
         if ok and declared_n != target.n:
@@ -303,6 +303,7 @@ def _cmd_verify(args) -> int:
         except (ValueError, RecursionError) as exc:
             # not JSON, an integer too long to convert, or nested too deep
             raise FormatError(str(exc)) from None
+        del text
         needed, decode, check = {
             "model": ("branch_sets", _decode_model, _check_model),
             "partition": ("parts", _decode_partition, _check_partition),
@@ -334,17 +335,23 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _ints(xs, what: str, length=None) -> tuple:
+def _ints(xs, what: str, length=None) -> list:
+    """``xs`` itself, checked to be a list of ints (of ``length``, if given)."""
     if not isinstance(xs, list) or (length is not None and len(xs) != length):
         raise TypeError(f"{what}: expected a list"
                         + ("" if length is None else f" of {length}") + f", got {xs!r}")
-    return tuple(_int(x, what) for x in xs)
+    for x in xs:
+        _int(x, what)
+    return xs
 
 
-def _lists(xs, what: str, length=None) -> tuple:
+def _lists(xs, what: str, length=None) -> list:
+    """``xs`` itself, checked to be a list of ``_ints`` lists."""
     if not isinstance(xs, list):
         raise TypeError(f"{what}: expected a list, got {xs!r}")
-    return tuple(_ints(x, what, length) for x in xs)
+    for x in xs:
+        _ints(x, what, length)
+    return xs
 
 
 def _decode_model(g: Graph, data):
@@ -401,7 +408,7 @@ def _decode_separator(g: Graph, data):
     weights = {}
     for entry in data["components"]:
         num, den = entry["weight"].split("/")
-        verts = _ints(entry["vertices"], "components.vertices")
+        verts = tuple(_ints(entry["vertices"], "components.vertices"))
         if verts in weights:
             raise ValueError(f"components: {list(verts)} is listed twice")
         weights[verts] = Fraction(int(num), int(den))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import accumulate
 from typing import NamedTuple, Optional, Union
 
 from .errors import ParameterError
@@ -24,8 +25,8 @@ from .graphs import (Graph, LineView, components, edges_between, max_degree,
                      neighborhood, validate_model)
 from .tree_or_sep import (Budget, _one_target_tree, edge_tree_or_separator,
                           minimalize_edge_separator)
-from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex, glue,
-                         product_blowup, validate_decomposition, width)
+from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex,
+                         check_decomposition, glue, product_blowup, width)
 
 
 class Params(NamedTuple):
@@ -487,40 +488,53 @@ def line_graph_tree_decomposition(g: Graph, t: int
 
 def validate_partition(g: Graph, p: RootedPartition,
                        params: Params) -> tuple[bool, Optional[str]]:
-    """All RootedPartition invariants; returns (ok, first violated clause)."""
-    uni = set(range(g.m))
-    part_of: dict = {}
+    """All RootedPartition invariants; returns (ok, first violated clause).
+
+    Edges map to parts in one list of m ints, and H is read off its sorted
+    edge pairs (see ``_h_keys``); no set, dict or Graph of H is built.
+    """
+    m, k = g.m, len(p.parts)
+    part_of = [-1] * m
+    covered = 0
     for i, part in enumerate(p.parts):
         if not part:
             return False, f"parts: part {i} is empty"
-        ps = set(part)
-        if not ps <= uni:
-            return False, f"parts: part {i} leaves the edge universe"
-        if not part_of.keys().isdisjoint(ps):
+        overlaps, repeat = False, None
+        for e in part:
+            if not (isinstance(e, int) and 0 <= e < m):
+                return False, f"parts: part {i} leaves the edge universe"
+            q = part_of[e]
+            if q < 0:
+                part_of[e] = i
+            elif q != i:
+                overlaps = True
+            elif repeat is None:
+                repeat = e
+        if overlaps:
             return False, f"parts: part {i} overlaps an earlier part"
+        if repeat is not None:
+            return False, f"parts: part {i} repeats edge {repeat}"
         if not params.allows_part_size(len(part)):
             return False, f"part size: part {i} has {len(part)} > p_impl edges"
-        part_of.update(dict.fromkeys(ps, i))
-    if len(part_of) != g.m:
+        covered += len(part)
+    if covered != m:
         return False, "coverage: parts do not cover the edge universe"
 
-    h_set = set()
     for a, b in p.h_edges:
         if (not isinstance(a, int) or not isinstance(b, int) or a == b
-                or not (0 <= a < len(p.parts) and 0 <= b < len(p.parts))):
+                or not (0 <= a < k and 0 <= b < k)):
             return False, "h-edges: malformed part adjacency"
-        h_set.add((a, b) if a < b else (b, a))
-    pair = _unjoined_pair(g, part_of, h_set)
+    keys, joined = _h_keys(p.h_edges, k)
+    pair = _unjoined_pair(g, part_of, joined)
     if pair:
         return False, ("partition property: adjacent edges "
                        f"{pair[0]},{pair[1]} in non-adjacent parts")
+    del part_of
     for i, a in enumerate(p.root):
         for b in p.root[i + 1:]:
-            if (not isinstance(a, int) or not isinstance(b, int)
-                    or ((a, b) if a < b else (b, a)) not in h_set):
+            if not isinstance(a, int) or not isinstance(b, int) or not joined(a, b):
                 return False, "root clique: root parts not pairwise adjacent"
-    hg = Graph(len(p.parts), h_set)
-    ok, why = validate_decomposition(hg, p.decomp)
+    ok, why = check_decomposition(k, (divmod(x, k) for x in keys), p.decomp)
     if not ok:
         return False, f"decomposition: {why}"
     if len(p.parts) and width(p.decomp) > params.t - 2:
@@ -535,44 +549,93 @@ def validate_partition(g: Graph, p: RootedPartition,
 
 def validate_embedding(g: Graph, p: RootedPartition, embedding,
                        params: Params) -> tuple[bool, Optional[str]]:
-    """Embedding realizes L(G) inside H boxtimes K_{floor(p)}."""
-    if len(embedding) != g.m:
+    """Embedding realizes L(G) inside H boxtimes K_{floor(p)}.
+
+    Slots are marked in one bytearray of m flags: part i's slot s sits at
+    ``start[i] + s - 1`` when s is at most the part's size, and only a
+    larger slot, which produced embeddings never use, goes to a set.
+    """
+    m = g.m
+    if len(embedding) != m:
         return False, "embedding: one entry per edge required"
-    part_of = {e: i for i, part in enumerate(p.parts) for e in part}
-    p_floor = params.p_floor()
-    used = set()
+    part_of = [-1] * m              # per edge, the last part listing it
+    for i, part in enumerate(p.parts):
+        for e in part:
+            if isinstance(e, int) and 0 <= e < m:
+                part_of[e] = i
+    size = [0] * len(p.parts)
+    for q in part_of:
+        if q >= 0:
+            size[q] += 1
+    start = [0]
+    start += accumulate(size)
+    used, high = bytearray(m), set()
+    cap = max(params.p_floor(), 1)
     for eid, (pid, slot) in enumerate(embedding):
-        if eid not in part_of or part_of[eid] != pid:
+        q = part_of[eid]
+        if q < 0 or q != pid:
             return False, f"embedding: edge {eid} mapped to the wrong part"
-        if not isinstance(slot, int) or not (1 <= slot <= max(p_floor, 1)):
+        if not isinstance(slot, int) or not (1 <= slot <= cap):
             return False, f"embedding: slot {slot} outside 1..floor(p)"
-        if (pid, slot) in used:
+        x = start[q] + slot - 1
+        if x < start[q + 1]:
+            if used[x]:
+                return False, "embedding: slot reused within a part"
+            used[x] = 1
+        elif (q, slot) in high:
             return False, "embedding: slot reused within a part"
-        used.add((pid, slot))
+        else:
+            high.add((q, slot))
     # each edge sits in its part, and (part, slot) is unique: only parts can clash
-    h_set = {(a, b) if a < b else (b, a) for a, b in p.h_edges}
-    if _unjoined_pair(g, part_of, h_set):
+    if _unjoined_pair(g, part_of, _h_keys(p.h_edges, len(p.parts))[1]):
         return False, "embedding: adjacent edges in non-adjacent parts"
     return True, None
 
 
-def _unjoined_pair(g: Graph, part_of: dict, h_set: set) -> Optional[tuple]:
+def _h_keys(h_edges, k: int) -> tuple[list, object]:
+    """H's edges (a, b), a < b, as sorted keys a * k + b, and the test of
+    whether H joins two parts, which bisects them.
+
+    An h-edge that is not two distinct part ids in 0..k-1 joins nothing and
+    is left out.
+    """
+    from bisect import bisect_left      # only checks look H up
+
+    keys = sorted(a * k + b if a < b else b * k + a for a, b in h_edges
+                  if isinstance(a, int) and isinstance(b, int) and a != b
+                  and 0 <= a < k and 0 <= b < k)
+
+    def joined(a, b) -> bool:
+        if not (0 <= a < k and 0 <= b < k):
+            return False
+        key = a * k + b if a < b else b * k + a
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
+
+    return keys, joined
+
+
+def _unjoined_pair(g: Graph, part_of: list, joined) -> Optional[tuple]:
     """The first two adjacent edges in distinct parts that H does not join.
 
-    ``part_of`` maps every edge to its part.  A vertex first checks its set
-    of parts, not its pairs of edges, which costs its degree plus the square
-    of its part count; in a valid partition those parts form a clique of H,
-    so there are at most t - 1 of them.  Only a vertex that fails runs the
-    pair scan, which names the first pair.
+    ``part_of`` maps every edge to its part, and ``joined`` is ``_h_keys``'s
+    test.  A vertex first checks its set of parts, not its pairs of edges,
+    which costs its degree plus the square of its part count; in a valid
+    partition those parts form a clique of H, so there are at most t - 1 of
+    them.  Only a vertex that fails runs the pair scan, which names the
+    first pair.
     """
     for eids in g.adj_eids:
-        ps = sorted({part_of[e] for e in eids})
-        if all((a, b) in h_set for i, a in enumerate(ps) for b in ps[i + 1:]):
+        ps = {part_of[e] for e in eids}
+        if len(ps) < 2:
+            continue
+        ps = sorted(ps)
+        if all(joined(a, b) for i, a in enumerate(ps) for b in ps[i + 1:]):
             continue
         for i, e in enumerate(eids):
             for f in eids[i + 1:]:
                 pa, pb = part_of[e], part_of[f]
-                if pa != pb and ((pa, pb) if pa < pb else (pb, pa)) not in h_set:
+                if pa != pb and not joined(pa, pb):
                     return e, f
     return None
 

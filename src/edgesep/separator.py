@@ -160,7 +160,8 @@ def _anchor_vertices(g: Graph, part) -> tuple:
         if pid not in bags[anchors[v]]:
             misses.add(v)
     for v in sorted(misses):
-        node = least_common_node({part_of[e] for e in g.adj_eids[v]}, nodes_of_part)
+        pids = {part_of[e] for e in g.adj_eids[v]}
+        node = least_common_node(nodes_of_part.get(pid, ()) for pid in pids)
         assert node is not None, f"no bag holds the edge clique of vertex {v}"
         anchors[v] = node
     return tuple(anchors)

@@ -8,6 +8,7 @@ attaches at nodes it holds, so each step appends a node instead of copying.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, LineView, VertexSet
@@ -66,66 +67,82 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
     Returns (ok, first violated clause).  ``g`` is the decomposed graph, a
     Graph or a LineView; an empty decomposition is valid exactly for the
     graph with no vertices.
+    """
+    return check_decomposition(g.n, g if isinstance(g, LineView) else g.edges, d)
 
-    The edges of a line graph at one G-vertex form a clique, and one bag
-    holding all of that vertex's edges covers them all.  By the Helly
-    property of subtrees (Gavril, JCTB 1974) a valid decomposition has such
-    a bag, so L(G) is covered vertex by vertex.  Only when some vertex lacks
-    one are the edges of L(G) scanned pair by pair, in order, to name the
-    first uncovered one.
+
+def check_decomposition(n: int, edges, d: TreeDecomposition) -> tuple[bool, Optional[str]]:
+    """``validate_decomposition`` for the graph on 0..n-1 with ``edges``.
+
+    ``edges`` yields the graph's (u, v) pairs, u < v, in ascending order, or
+    is the LineView of the line graph decomposed.  The edges of a line graph
+    at one G-vertex form a clique, and one bag holding all of that vertex's
+    edges covers them all.  By the Helly property of subtrees (Gavril, JCTB
+    1974) a valid decomposition has such a bag, so L(G) is covered vertex by
+    vertex.  Only when some vertex lacks one are the edges of L(G) scanned
+    pair by pair, in order, to name the first uncovered one.
+
+    Each vertex's ascending node list is one slice of a flat list,
+    ``nodes[at[v]:at[v + 1]]``, and no bag is copied into a set.
     """
     k = d.n_nodes
     for a, b in d.tree_edges:
         if not (0 <= a < k and 0 <= b < k) or a == b:
             return False, "tree structure: bad tree edge"
-    if len(set(tuple(sorted(e)) for e in d.tree_edges)) != len(d.tree_edges):
-        return False, "tree structure: duplicate tree edge"
+    nbrs, parent, order = rooted_tree(d)
+    last = [-1] * k                 # last[b] == a: a lists b once already
+    for a, bs in enumerate(nbrs):
+        for b in bs:
+            if last[b] == a:
+                return False, "tree structure: duplicate tree edge"
+            last[b] = a
+    del nbrs, last
     if k > 0 and len(d.tree_edges) != k - 1:
         return False, "tree structure: edge count is not nodes-1"
-    _, parent, order = rooted_tree(d)
     if len(order) != k:
         return False, "tree structure: tree is disconnected"
+    del order
 
-    covered: set[int] = set()
     for bag in d.bags:
         for v in bag:
-            if not (0 <= v < g.n):
+            if not (0 <= v < n):
                 return False, f"vertex coverage: bag element {v} out of range"
-        covered.update(bag)
-    if covered != set(range(g.n)):
+    at, nodes = _node_lists(n, d.bags)
+    if any(at[v] == at[v + 1] for v in range(n)):
         return False, "vertex coverage: some vertex appears in no bag"
 
-    # every test reads the ascending node lists; no bag is copied into a set
-    nodes_of: dict[int, list[int]] = {}
-    for i, bag in enumerate(d.bags):
-        for v in bag:
-            nodes_of.setdefault(v, []).append(i)
-    if not isinstance(g, LineView):
-        pairs = g.edges
-    elif all(len(es) < 2 or least_common_node(es, nodes_of) is not None
-             for es in g.g.adj_eids):
-        pairs = ()
-    else:
-        pairs = g.edge_pairs()
+    if isinstance(edges, LineView):
+        shared = all(len(es) < 2
+                     or least_common_node(nodes[at[x]:at[x + 1]] for x in es) is not None
+                     for es in edges.g.adj_eids)
+        edges = () if shared else edges.edge_pairs()
     held = (None, None)             # the first end of the pairs and its node set
-    for u, v in pairs:              # ascending, so each first end comes in one run
+    for u, v in edges:              # ascending, so each first end comes in one run
         if held[0] != u:
-            held = (u, set(nodes_of[u]))
-        if held[1].isdisjoint(nodes_of[v]):
+            held = (u, set(nodes[at[u]:at[u + 1]]))
+        if held[1].isdisjoint(nodes[at[v]:at[v + 1]]):
             return False, f"edge coverage: edge ({u},{v}) in no bag"
 
     # the nodes holding v are connected exactly when one of them is a top:
     # the root, or a node whose parent's bag lacks v.  A bag that repeats v
     # lists its node twice in a row, so a repeat of the last top is skipped.
-    for v, nodes in nodes_of.items():
-        holding = set(nodes)
+    mark = [-1] * k                 # mark[i] == v: node i's bag holds v
+    split = []
+    for v in range(n):
+        holding = nodes[at[v]:at[v + 1]]
+        for j in holding:
+            mark[j] = v
         top = -1
-        for i in nodes:
-            p = parent[i]
-            if (p < 0 or p not in holding) and i != top:
+        for j in holding:
+            p = parent[j]
+            if (p < 0 or mark[p] != v) and j != top:
                 if top >= 0:
-                    return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
-                top = i
+                    split.append(v)
+                    break
+                top = j
+    if split:                       # named: the one that occurs first, bag by bag
+        v = min(split, key=lambda v: (nodes[at[v]], d.bags[nodes[at[v]]].index(v)))
+        return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
 
     if d.designated is not None:
         if not (0 <= d.designated < k):
@@ -133,6 +150,25 @@ def validate_decomposition(g, d: TreeDecomposition) -> tuple[bool, Optional[str]
         if d.root_clique is not None and not set(d.root_clique) <= set(d.bags[d.designated]):
             return False, "designated bag: designated bag misses the root clique"
     return True, None
+
+
+def _node_lists(n: int, bags) -> tuple[list, list]:
+    """Each vertex's nodes as flat lists (at, nodes): the nodes whose bags
+    hold v are ``nodes[at[v]:at[v + 1]]``, ascending, and a bag that holds v
+    twice lists its node twice."""
+    fill = [0] * n
+    for bag in bags:
+        for v in bag:
+            fill[v] += 1
+    at = [0]
+    at += accumulate(fill)
+    fill[:] = at[:n]
+    nodes = [0] * at[n]
+    for i, bag in enumerate(bags):
+        for v in bag:
+            nodes[fill[v]] = i
+            fill[v] += 1
+    return at, nodes
 
 
 def rooted_tree(d: TreeDecomposition) -> tuple[list, list, list]:
@@ -160,22 +196,20 @@ def rooted_tree(d: TreeDecomposition) -> tuple[list, list, list]:
     return nbrs, parent, order
 
 
-def least_common_node(members, nodes_of) -> Optional[int]:
-    """Least node whose bag holds every one of ``members``, or None.
+def least_common_node(node_lists) -> Optional[int]:
+    """Least node in every one of ``node_lists``, or None.
 
-    ``members`` is nonempty and ``nodes_of[x]`` lists the nodes whose bags
-    hold x.  The lists are intersected, the first as a set and the rest as
-    read, so no bag is copied or scanned.
+    ``node_lists`` yields at least one list: for each member, the nodes whose
+    bags hold it.  The lists are intersected, the first as a set and the
+    rest as read, so no bag is copied or scanned.
     """
-    common = None
-    for x in members:
-        if common is None:
-            common = set(nodes_of.get(x, ()))
-        else:
-            common.intersection_update(nodes_of.get(x, ()))
+    lists = iter(node_lists)
+    common = set(next(lists))
+    for nodes in lists:
         if not common:
-            return None
-    return min(common)
+            break
+        common.intersection_update(nodes)
+    return min(common) if common else None
 
 
 def glue(d: Decomposition, first: int, second: int, shared: Iterable[int]) -> int:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesep import Graph, cli, graphs, partition
+from edgesep import Graph, cli, graphs, partition, separator
 from edgesep.cli import main
 from edgesep.formats import emit_graph
 from edgesep.generators import (complete, grid, outerplanar, path, random_tree,
@@ -210,6 +210,21 @@ class TestSeparate:
         assert run_cli_stderr(["separate", str(g), "--t", "5", "--weights", str(w)]) == \
             (2, "error: weights must sum to exactly 1\n")
         assert calls == []
+
+    def test_weights_are_checked_once(self, grid_file, tmp_path, monkeypatch):
+        # the check before the partition hands its common denominator on
+        w = tmp_path / "w.w"
+        w.write_text("".join(f"{i} 1/9\n" for i in range(1, 10)))
+        calls = []
+
+        def counted(*args, _check=separator.check_weights):
+            calls.append(args)
+            return _check(*args)
+
+        monkeypatch.setattr(separator, "check_weights", counted)
+        monkeypatch.setattr(cli, "check_weights", counted)
+        code, _ = run_cli(["separate", grid_file, "--t", "5", "--weights", str(w)])
+        assert code == 0 and len(calls) == 1
 
     def test_valid_weights_on_a_kt_minor_graph_still_exit_3(self, tmp_path):
         g = tmp_path / "k7.gr"

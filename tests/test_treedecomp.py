@@ -8,7 +8,9 @@ from edgesep import (Graph, LineView, attach_vertex, glue, line_graph,
                      partition_line_graph, product_blowup, validate_decomposition,
                      width)
 from edgesep.generators import grid, random_tree
-from edgesep.treedecomp import Decomposition, TreeDecomposition, least_common_node, rooted_tree
+from edgesep.treedecomp import Decomposition, TreeDecomposition, least_common_node
+from reference_validators import outcome
+from reference_validators import validate_decomposition as reference_validate_decomposition
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -205,8 +207,8 @@ class TestInPlaceBagTests:
             for x in bag:
                 nodes_of.setdefault(x, []).append(i)
         want = next((i for i, bag in enumerate(bags) if set(members) <= set(bag)), None)
-        assert least_common_node(members, nodes_of) == want
-        assert least_common_node(set(members), nodes_of) == want
+        assert least_common_node(nodes_of.get(x, ()) for x in members) == want
+        assert least_common_node(nodes_of.get(x, ()) for x in set(members)) == want
 
 
 class TestProductBlowup:
@@ -433,72 +435,6 @@ class TestSubtreeConnectivity:
                 False, f"subtree connectivity: vertex {v} spans a disconnected node set"))
 
 
-def reference_validate_decomposition(g, d: TreeDecomposition):
-    """The ``validate_decomposition`` that copied every bag into a set.
-
-    Kept as the oracle of the set-free checks, which must return the same
-    verdict and the same first violation.
-    """
-    k = d.n_nodes
-    for a, b in d.tree_edges:
-        if not (0 <= a < k and 0 <= b < k) or a == b:
-            return False, "tree structure: bad tree edge"
-    if len(set(tuple(sorted(e)) for e in d.tree_edges)) != len(d.tree_edges):
-        return False, "tree structure: duplicate tree edge"
-    if k > 0 and len(d.tree_edges) != k - 1:
-        return False, "tree structure: edge count is not nodes-1"
-    _, parent, order = rooted_tree(d)
-    if len(order) != k:
-        return False, "tree structure: tree is disconnected"
-
-    covered: set = set()
-    for bag in d.bags:
-        for v in bag:
-            if not (0 <= v < g.n):
-                return False, f"vertex coverage: bag element {v} out of range"
-        covered.update(bag)
-    if covered != set(range(g.n)):
-        return False, "vertex coverage: some vertex appears in no bag"
-
-    bag_sets = [set(b) for b in d.bags]
-    nodes_of: dict = {}
-    for i, bag in enumerate(d.bags):
-        for v in bag:
-            nodes_of.setdefault(v, []).append(i)
-    if not isinstance(g, LineView):
-        pairs = g.edges
-    elif all(len(es) < 2 or _scanned_least_common_node(es, nodes_of, bag_sets) is not None
-             for es in g.g.adj_eids):
-        pairs = ()
-    else:
-        pairs = g.edge_pairs()
-    for u, v in pairs:
-        if not any(v in bag_sets[i] for i in nodes_of.get(u, ())):
-            return False, f"edge coverage: edge ({u},{v}) in no bag"
-
-    for v, nodes in nodes_of.items():
-        top = -1
-        for i in nodes:
-            p = parent[i]
-            if (p < 0 or v not in bag_sets[p]) and i != top:
-                if top >= 0:
-                    return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
-                top = i
-
-    if d.designated is not None:
-        if not (0 <= d.designated < k):
-            return False, "designated bag: designated node out of range"
-        if d.root_clique is not None and not set(d.root_clique) <= bag_sets[d.designated]:
-            return False, "designated bag: designated bag misses the root clique"
-    return True, None
-
-
-def _scanned_least_common_node(members, nodes_of, bags):
-    """The ``least_common_node`` that scanned the shortest node list's bags."""
-    shortest = min((nodes_of.get(x, ()) for x in members), key=len)
-    return next((node for node in shortest if all(x in bags[node] for x in members)), None)
-
-
 @st.composite
 def loose_decompositions(draw):
     """Any small graph with any small bags on a tree, a near-tree or a forest.
@@ -529,6 +465,32 @@ def loose_decompositions(draw):
                                 designated=designated, root_clique=root)
 
 
+def _mutated_tree_or_bag(data, d: TreeDecomposition, n: int) -> TreeDecomposition:
+    """``d`` as is, or with one tree edge broken or repeated, or one bag given
+    an element out of range or one that is not an int.
+
+    A float passes ``0 <= v < n``, and the reference then files it under its
+    own key, where a flat list cannot, so only values no comparison admits
+    are drawn.
+    """
+    k = d.n_nodes
+    edges, bags = [list(e) for e in d.tree_edges], [list(b) for b in d.bags]
+    kind = data.draw(st.sampled_from(["none", "break", "repeat", "out-of-range", "non-int"]))
+    if kind in ("break", "repeat") and edges:
+        i = data.draw(st.integers(0, len(edges) - 1))
+        a, b = edges[i]
+        if kind == "break":
+            edges[i] = data.draw(st.sampled_from([[a, a], [a, k], [-1, b], [a, (b + 1) % k]]))
+        else:
+            edges.append(data.draw(st.sampled_from([[a, b], [b, a]])))
+    elif kind in ("out-of-range", "non-int") and bags:
+        odd = st.sampled_from([-1, n] if kind == "out-of-range" else [None, "x"])
+        bags[data.draw(st.integers(0, k - 1))].append(data.draw(odd))
+    if data.draw(st.booleans()):        # lists, as ``verify`` decodes them
+        return d._replace(bags=bags, tree_edges=edges)
+    return d._replace(bags=tuple(map(tuple, bags)), tree_edges=tuple(map(tuple, edges)))
+
+
 class TestSetFreeValidation:
     """``validate_decomposition`` reads node lists, with the verdicts of the set copies."""
 
@@ -539,11 +501,13 @@ class TestSetFreeValidation:
         assert validate_decomposition(g, d) == reference_validate_decomposition(g, d)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(line_decompositions())
-    def test_a_line_decomposition_gets_the_reference_verdict(self, inst):
+    @given(line_decompositions(), st.data())
+    def test_a_line_decomposition_gets_the_reference_verdict(self, inst, data):
         g, d = inst
-        assert validate_decomposition(LineView(g), d) == \
-            reference_validate_decomposition(LineView(g), d)
+        d = _mutated_tree_or_bag(data, d, g.m)
+        for target in (LineView(g), line_graph(g)):
+            assert outcome(validate_decomposition, target, d) == \
+                outcome(reference_validate_decomposition, target, d)
 
     @SETTINGS
     @given(subtree_instances())

@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 
 from . import generators, oracles
 from .errors import FormatError, IncidentError, OracleLimitError, ParameterError
@@ -23,11 +24,10 @@ from .formats import (emit_decomposition, emit_graph, format_fraction,
                       graph_digest, parse_decomposition, parse_graph,
                       parse_weights)
 from .graphs import Graph, LineView, components, validate_model
-from .partition import (KtCertificate, Params, RootedPartition,
-                        partition_line_graph, validate_certificate,
-                        validate_embedding, validate_partition)
+from .partition import (KtCertificate, Params, RootedPartition, _embedding_verdict,
+                        _partition_verdict, partition_line_graph, validate_certificate)
 from .separator import _sink_separator, check_weights, isoperimetric_witness, uniform_weights
-from .treedecomp import TreeDecomposition, product_blowup, validate_decomposition, width
+from .treedecomp import TreeDecomposition, validate_blowup, validate_decomposition, width
 
 SCHEMA = "edgesep-report/1"
 BOUND_FORMULA = "(t-1)*floor(sqrt((t-3)*m*Delta) + Delta)"
@@ -141,7 +141,16 @@ def _dump(x, nl: str) -> str:
     """``x`` as ``_json`` writes it at the depth whose line break is ``nl``."""
     if isinstance(x, (list, tuple)) and x:
         inner = nl + "  "
-        items = map(str, x) if set(map(type, x)) == {int} else [_dump(v, inner) for v in x]
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            items = map(str, x)
+        elif kinds <= {list, tuple} and all(x) and set(map(type, chain.from_iterable(x))) == {int}:
+            # rows of ints, as parts, bags and the embedding are: one join a row
+            deeper = inner + "  "
+            sep = "," + deeper
+            items = [f"[{deeper}{sep.join(map(str, row))}{inner}]" for row in x]
+        else:
+            items = [_dump(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(x, dict) and x and all(type(k) is str for k in x):
         inner = nl + "  "
@@ -206,9 +215,10 @@ def _cmd_artifact(args) -> int:
 
 
 def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
-    part = res.partition
-    ok_p, why_p = validate_partition(g, part, res.params)
-    ok_e, why_e = validate_embedding(g, part, res.embedding, res.params)
+    part, emb = res.partition, res.embedding
+    part_of = [-1] * g.m
+    ok_p, why_p = _partition_verdict(g, part, res.params, part_of)
+    ok_e, why_e = _embedding_verdict(g, part, emb, res.params, part_of if ok_p else None)
     if args.td_out:
         with open(args.td_out, "w") as fh:
             fh.write(emit_decomposition(part.decomp, len(part.parts)))
@@ -221,7 +231,7 @@ def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
         "h_edges": part.h_edges,
         "root_clique": part.root,
         "decomposition": part.decomp._asdict(),
-        "embedding": res.embedding,
+        "embedding": emb,
         "bounds": {
             "h_width": width(part.decomp),
             "h_width_bound": args.t - 2,
@@ -233,11 +243,12 @@ def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
 
 
 def _tdlg_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
-    blowup = product_blowup(res.partition.decomp, res.partition.parts)
-    ok, why = validate_decomposition(LineView(g), blowup)
-    w = width(blowup)
+    """L(G)'s decomposition, the blow-up of H's, checked and written from
+    H's decomposition and the parts without building it."""
+    d, parts = res.partition.decomp, res.partition.parts
+    ok, why, w = validate_blowup(g, d, parts)
     bound = res.params.separator_bound() - 1
-    td_text = emit_decomposition(blowup, g.m)
+    td_text = emit_decomposition(d, g.m, parts)
     if args.td_out:
         with open(args.td_out, "w") as fh:
             fh.write(td_text)
@@ -346,11 +357,18 @@ def _ints(xs, what: str, length=None) -> list:
 
 
 def _lists(xs, what: str, length=None) -> list:
-    """``xs`` itself, checked to be a list of ``_ints`` lists."""
+    """``xs`` itself, checked to be a list of ``_ints`` lists.
+
+    Lists of ints of the right length, as decoded, pass in three scans; any
+    other entry is named by ``_ints``, as it is met in order.
+    """
     if not isinstance(xs, list):
         raise TypeError(f"{what}: expected a list, got {xs!r}")
-    for x in xs:
-        _ints(x, what, length)
+    if not (set(map(type, xs)) <= {list}
+            and (length is None or set(map(len, xs)) <= {length})
+            and set(map(type, chain.from_iterable(xs))) <= {int}):
+        for x in xs:
+            _ints(x, what, length)
     return xs
 
 
@@ -398,9 +416,10 @@ def _decode_partition(g: Graph, data):
 
 
 def _check_partition(g: Graph, part, params, emb):
-    ok, why = validate_partition(g, part, params)
+    part_of = [-1] * g.m
+    ok, why = _partition_verdict(g, part, params, part_of)
     if ok and emb is not None:
-        ok, why = validate_embedding(g, part, emb, params)
+        ok, why = _embedding_verdict(g, part, emb, params, part_of)
     return ok, why
 
 

@@ -110,20 +110,79 @@ def graph_digest(g: Graph) -> str:
     return hashlib.sha256(emit_graph(g).encode()).hexdigest()
 
 
-def emit_decomposition(d: TreeDecomposition, n_decomposed: int) -> str:
+def emit_decomposition(d: TreeDecomposition, n_decomposed: int, parts=None) -> str:
+    """The .td text of ``d``; given ``parts``, that of ``product_blowup(d, parts)``.
+
+    The blown-up text is written from d and the parts, and no blown-up bag
+    is kept: equal bags share one written row, so a bag that recurs at many
+    nodes costs its text once plus the output.
+    """
     if d.n_nodes == 0:
         return "s td 0 0 0\n"
-    width_plus = max(len(b) for b in d.bags)
-    lines = [f"s td {d.n_nodes} {width_plus} {n_decomposed}"]
-    for i, bag in enumerate(d.bags):
-        lines.append(" ".join(["b", str(i + 1), *[str(v + 1) for v in bag]]))
-    for a, b in d.tree_edges:
-        lines.append(f"{a + 1} {b + 1}")
-    return "\n".join(lines) + "\n"
+    # ' v+1' for v = 0, 1, ...: no more of them than there are bag entries
+    entries = sum(map(len, d.bags if parts is None else parts))
+    labels = [f" {v}" for v in range(1, min(n_decomposed, entries) + 1)]
+    rows: dict = {}                 # per distinct bag: its size and its row's text
+    out = [""]                      # the header goes first, once the width is known
+    for i, bag in enumerate(d.bags, 1):
+        key = tuple(bag)
+        row = rows.get(key)
+        if row is None:
+            vs = key if parts is None else sorted(set().union(*map(parts.__getitem__, key)))
+            row = rows[key] = (len(vs), _row_text(vs, labels))
+        out += ("\nb ", str(i), row[1])
+    out.extend(f"\n{a + 1} {b + 1}" for a, b in d.tree_edges)
+    width_plus = max((size for size, _ in rows.values()), default=0)
+    out[0] = f"s td {d.n_nodes} {width_plus} {n_decomposed}"
+    out.append("\n")
+    return "".join(out)
+
+
+def _row_text(vs, labels: list) -> str:
+    """' v+1' for each of ``vs``, looked up in ``labels`` when all of them
+    are ints in its range."""
+    try:
+        if vs and min(vs) >= 0 and max(vs) < len(labels):
+            return "".join(map(labels.__getitem__, vs))
+    except TypeError:               # not all ints
+        pass
+    return "".join([f" {v + 1}" for v in vs])
 
 
 def parse_decomposition(text: str) -> tuple[TreeDecomposition, int]:
-    """Returns the decomposition and the declared vertex count of the graph."""
+    """The decomposition of .td text and the declared vertex count of its graph.
+
+    Text made of the solution line, then bags 1..#bags in order and then one
+    tree edge per line, with no comment or blank line, is read in one pass
+    over its lines.  Any other text, and any defect, is read line by line,
+    which names the defect's line.  Neither allocates from the header's bag
+    count.
+    """
+    lines = text.splitlines()
+    head = lines[0].split() if lines else ()
+    if len(head) == 5 and head[0] == "s" and head[1] == "td":
+        try:
+            k, _, n_graph = map(int, head[2:])
+            bags = []
+            less = (-1).__add__
+            for i, line in enumerate(lines[1:k + 1], 1):
+                tokens = line.split()
+                if tokens[0] != "b" or int(tokens[1]) != i:
+                    raise ValueError
+                bags.append(tuple(sorted(map(less, map(int, tokens[2:])))))
+            if len(bags) == k:
+                tree_edges = []
+                for line in lines[k + 1:]:
+                    a, b = line.split()
+                    tree_edges.append((int(a) - 1, int(b) - 1))
+                return TreeDecomposition(bags=tuple(bags), tree_edges=tuple(tree_edges)), n_graph
+        except (ValueError, IndexError):
+            pass
+    del lines
+    return _parse_decomposition_lines(text)
+
+
+def _parse_decomposition_lines(text: str) -> tuple[TreeDecomposition, int]:
     header = None
     bags: dict[int, tuple] = {}
     tree_edges = []

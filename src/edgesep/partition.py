@@ -493,8 +493,15 @@ def validate_partition(g: Graph, p: RootedPartition,
     Edges map to parts in one list of m ints, and H is read off its sorted
     edge pairs (see ``_h_keys``); no set, dict or Graph of H is built.
     """
+    return _partition_verdict(g, p, params, [-1] * g.m)
+
+
+def _partition_verdict(g: Graph, p: RootedPartition, params: Params,
+                       part_of: list) -> tuple[bool, Optional[str]]:
+    """``validate_partition``'s verdict; it maps the edges to their parts in
+    ``part_of``, a list of m entries -1, which ``_embedding_verdict`` can
+    then read."""
     m, k = g.m, len(p.parts)
-    part_of = [-1] * m
     covered = 0
     for i, part in enumerate(p.parts):
         if not part:
@@ -529,7 +536,6 @@ def validate_partition(g: Graph, p: RootedPartition,
     if pair:
         return False, ("partition property: adjacent edges "
                        f"{pair[0]},{pair[1]} in non-adjacent parts")
-    del part_of
     for i, a in enumerate(p.root):
         for b in p.root[i + 1:]:
             if not isinstance(a, int) or not isinstance(b, int) or not joined(a, b):
@@ -555,14 +561,27 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
     ``start[i] + s - 1`` when s is at most the part's size, and only a
     larger slot, which produced embeddings never use, goes to a set.
     """
+    return _embedding_verdict(g, p, embedding, params, None)
+
+
+def _embedding_verdict(g: Graph, p: RootedPartition, embedding, params: Params,
+                       part_of: Optional[list]) -> tuple[bool, Optional[str]]:
+    """``validate_embedding``'s verdict; ``part_of`` is None or the list that
+    ``_partition_verdict`` filled for a partition it passed.
+
+    Such a partition has no adjacent edges in parts H does not join, so once
+    every edge sits in its part the pair scan has nothing left to find.
+    """
     m = g.m
     if len(embedding) != m:
         return False, "embedding: one entry per edge required"
-    part_of = [-1] * m              # per edge, the last part listing it
-    for i, part in enumerate(p.parts):
-        for e in part:
-            if isinstance(e, int) and 0 <= e < m:
-                part_of[e] = i
+    passed = part_of is not None
+    if not passed:
+        part_of = [-1] * m          # per edge, the last part listing it
+        for i, part in enumerate(p.parts):
+            for e in part:
+                if isinstance(e, int) and 0 <= e < m:
+                    part_of[e] = i
     size = [0] * len(p.parts)
     for q in part_of:
         if q >= 0:
@@ -587,7 +606,7 @@ def validate_embedding(g: Graph, p: RootedPartition, embedding,
         else:
             high.add((q, slot))
     # each edge sits in its part, and (part, slot) is unique: only parts can clash
-    if _unjoined_pair(g, part_of, _h_keys(p.h_edges, len(p.parts))[1]):
+    if not passed and _unjoined_pair(g, part_of, _h_keys(p.h_edges, len(p.parts))[1]):
         return False, "embedding: adjacent edges in non-adjacent parts"
     return True, None
 

@@ -85,23 +85,9 @@ def check_decomposition(n: int, edges, d: TreeDecomposition) -> tuple[bool, Opti
     Each vertex's ascending node list is one slice of a flat list,
     ``nodes[at[v]:at[v + 1]]``, and no bag is copied into a set.
     """
-    k = d.n_nodes
-    for a, b in d.tree_edges:
-        if not (0 <= a < k and 0 <= b < k) or a == b:
-            return False, "tree structure: bad tree edge"
-    nbrs, parent, order = rooted_tree(d)
-    last = [-1] * k                 # last[b] == a: a lists b once already
-    for a, bs in enumerate(nbrs):
-        for b in bs:
-            if last[b] == a:
-                return False, "tree structure: duplicate tree edge"
-            last[b] = a
-    del nbrs, last
-    if k > 0 and len(d.tree_edges) != k - 1:
-        return False, "tree structure: edge count is not nodes-1"
-    if len(order) != k:
-        return False, "tree structure: tree is disconnected"
-    del order
+    why, parent = _tree_defect(d)
+    if why:
+        return False, why
 
     for bag in d.bags:
         for v in bag:
@@ -123,10 +109,49 @@ def check_decomposition(n: int, edges, d: TreeDecomposition) -> tuple[bool, Opti
         if held[1].isdisjoint(nodes[at[v]:at[v + 1]]):
             return False, f"edge coverage: edge ({u},{v}) in no bag"
 
-    # the nodes holding v are connected exactly when one of them is a top:
-    # the root, or a node whose parent's bag lacks v.  A bag that repeats v
-    # lists its node twice in a row, so a repeat of the last top is skipped.
-    mark = [-1] * k                 # mark[i] == v: node i's bag holds v
+    split = _split_members(n, at, nodes, parent)
+    if split:                       # named: the one that occurs first, bag by bag
+        v = min(split, key=lambda v: (nodes[at[v]], d.bags[nodes[at[v]]].index(v)))
+        return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
+
+    if d.designated is not None:
+        if not (0 <= d.designated < d.n_nodes):
+            return False, "designated bag: designated node out of range"
+        if d.root_clique is not None and not set(d.root_clique) <= set(d.bags[d.designated]):
+            return False, "designated bag: designated bag misses the root clique"
+    return True, None
+
+
+def _tree_defect(d: TreeDecomposition) -> tuple[Optional[str], list]:
+    """The first tree-structure violation of ``d``, or None, and each
+    node's parent in ``rooted_tree``'s BFS from node 0."""
+    k = d.n_nodes
+    for a, b in d.tree_edges:
+        if not (0 <= a < k and 0 <= b < k) or a == b:
+            return "tree structure: bad tree edge", []
+    nbrs, parent, order = rooted_tree(d)
+    if len(order) == k and (k == 0 or len(d.tree_edges) == k - 1):
+        return None, parent         # k - 1 edges that connect k nodes: none repeats
+    last = [-1] * k                 # last[b] == a: a lists b once already
+    for a, bs in enumerate(nbrs):
+        for b in bs:
+            if last[b] == a:
+                return "tree structure: duplicate tree edge", []
+            last[b] = a
+    if k > 0 and len(d.tree_edges) != k - 1:
+        return "tree structure: edge count is not nodes-1", []
+    return "tree structure: tree is disconnected", []
+
+
+def _split_members(n: int, at: list, nodes: list, parent: list) -> list:
+    """The members 0..n-1 whose nodes, ``nodes[at[v]:at[v + 1]]``, are not
+    connected in the tree of ``parent``, ascending.
+
+    The nodes holding v are connected exactly when one of them is a top:
+    the root, or a node whose parent's bag lacks v.  A bag that repeats v
+    lists its node twice in a row, so a repeat of the last top is skipped.
+    """
+    mark = [-1] * len(parent)       # mark[i] == v: node i's bag holds v
     split = []
     for v in range(n):
         holding = nodes[at[v]:at[v + 1]]
@@ -140,16 +165,7 @@ def check_decomposition(n: int, edges, d: TreeDecomposition) -> tuple[bool, Opti
                     split.append(v)
                     break
                 top = j
-    if split:                       # named: the one that occurs first, bag by bag
-        v = min(split, key=lambda v: (nodes[at[v]], d.bags[nodes[at[v]]].index(v)))
-        return False, f"subtree connectivity: vertex {v} spans a disconnected node set"
-
-    if d.designated is not None:
-        if not (0 <= d.designated < k):
-            return False, "designated bag: designated node out of range"
-        if d.root_clique is not None and not set(d.root_clique) <= set(d.bags[d.designated]):
-            return False, "designated bag: designated bag misses the root clique"
-    return True, None
+    return split
 
 
 def _node_lists(n: int, bags) -> tuple[list, list]:
@@ -269,3 +285,68 @@ def product_blowup(d: TreeDecomposition,
     return TreeDecomposition(bags=tuple(bags), tree_edges=d.tree_edges,
                              designated=d.designated, root_clique=None)
 
+
+def validate_blowup(g: Graph, d: TreeDecomposition,
+                    part_members: Sequence) -> tuple[bool, Optional[str], int]:
+    """``validate_decomposition(LineView(g), b)`` and ``width(b)`` for
+    ``b = product_blowup(d, part_members)``, read off d and the parts.
+
+    ``b`` holds edge e at the nodes whose bags hold e's part.  When the parts
+    split the edge ids 0..m-1 and each bag lists ascending part ids, ``b`` is
+    a tree-decomposition of L(G) exactly when d's tree is a tree and
+      - every part lies in some bag (vertex coverage);
+      - the parts at each G-vertex share a node (edge coverage: a G-vertex's
+        edges form a clique of L(G), and by the Helly property of subtrees,
+        as in ``check_decomposition``, a valid ``b`` has a bag holding all
+        of them);
+      - each part's nodes are connected in d (subtree connectivity);
+    and a bag of ``b`` holds the summed size of its parts.  Only when one of
+    these fails is ``b`` built and checked as it stands, so the verdict and
+    its violation text are always ``b``'s own.
+    """
+    w = _factored_width(g, d, part_members)
+    if w is not None:
+        return True, None, w
+    blowup = product_blowup(d, part_members)
+    ok, why = validate_decomposition(LineView(g), blowup)
+    return ok, why, width(blowup)
+
+
+def _factored_width(g: Graph, d: TreeDecomposition, parts: Sequence) -> Optional[int]:
+    """The width of a blow-up that ``validate_blowup``'s conditions certify
+    valid, or None when one of them fails."""
+    why, parent = _tree_defect(d)
+    if why or (d.designated is not None and d.designated not in range(d.n_nodes)):
+        return None
+    m, k = g.m, len(parts)
+    part_of = [-1] * m
+    for i, part in enumerate(parts):
+        for e in part:
+            if type(e) is not int or not 0 <= e < m or part_of[e] >= 0:
+                return None
+            part_of[e] = i
+    if -1 in part_of:
+        return None
+    size = list(map(len, parts))
+    widest = 0
+    for bag in d.bags:
+        held, last = 0, -1
+        for x in bag:
+            if type(x) is not int or not last < x < k:      # ascending: no part twice
+                return None
+            held += size[x]
+            last = x
+        widest = max(widest, held)
+    at, nodes = _node_lists(k, d.bags)
+    if any(at[i] == at[i + 1] for i in range(k)):
+        return None
+    for eids in g.adj_eids:
+        pids = {part_of[e] for e in eids}
+        if len(pids) > 1:
+            x = pids.pop()
+            common = set(nodes[at[x]:at[x + 1]])
+            for x in pids:
+                common.intersection_update(nodes[at[x]:at[x + 1]])
+            if not common:
+                return None
+    return None if _split_members(k, at, nodes, parent) else widest - 1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgesep import Graph, cli, graphs, partition, separator
+from edgesep import Graph, cli, graphs, partition, separator, treedecomp
 from edgesep.cli import main
 from edgesep.formats import emit_graph
 from edgesep.generators import (complete, grid, outerplanar, path, random_tree,
@@ -710,6 +710,67 @@ class TestDeterminism:
         assert a == b
 
 
+class TestSharedValidatorWork:
+    """``partition`` and ``verify partition`` check the embedding on the
+    partition check's own edge-to-part list."""
+
+    @staticmethod
+    def _counted(monkeypatch, module, name) -> list:
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_partition_derives_the_embedding_once(self, grid_file, monkeypatch):
+        calls = []
+        original = partition.PartitionResult.embedding
+
+        def counting(self):
+            calls.append(1)
+            return original.fget(self)
+
+        monkeypatch.setattr(partition.PartitionResult, "embedding", property(counting))
+        assert run_cli(["partition", grid_file, "--t", "5"])[0] == 0
+        assert len(calls) == 1
+
+    def test_verify_partition_reads_h_and_scans_pairs_once(self, tmp_path, monkeypatch):
+        g = tmp_path / "p.gr"
+        g.write_text(emit_graph(path(200)))
+        art = tmp_path / "p.json"
+        art.write_text(run_cli(["partition", str(g), "--t", "5"])[1])
+        calls = (self._counted(monkeypatch, partition, "_h_keys"),
+                 self._counted(monkeypatch, partition, "_unjoined_pair"))
+        assert run_cli(["verify", "partition", str(art), "--against", str(g)])[0] == 0
+        assert [len(c) for c in calls] == [1, 1]
+
+
+class TestTdlgWithoutBlowup:
+    """A valid tdlg result is checked and written from H's decomposition and
+    the parts, never through the blown-up decomposition."""
+
+    @pytest.mark.parametrize("name", sorted(TestDeterminism.PINNED))
+    def test_a_valid_result_builds_and_validates_no_blowup(self, name, tmp_path,
+                                                          monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the blow-up was built or validated")
+
+        for module in (cli, treedecomp):
+            for fn in ("product_blowup", "validate_decomposition"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+        make, _, _, tdlg_sha = TestDeterminism.PINNED[name]
+        p = tmp_path / f"{name}.gr"
+        p.write_text(emit_graph(make()))
+        code, out = run_cli(["tdlg", str(p), "--t", "5"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == tdlg_sha
+
+
 
 # JSON values as reports hold them, and the corners json.dumps treats apart
 JSON_SCALARS = st.one_of(
@@ -738,7 +799,10 @@ class TestJsonEmitter:
 
     @pytest.mark.parametrize("value", [[], {}, [[]], {"a": [[], [{}]]}, [True, 1, False],
                                        {1: "int key"}, {"k": {None: 0}}, (1, (2, 3)),
-                                       [float("nan"), float("inf"), -float("inf"), -0.0]])
+                                       [float("nan"), float("inf"), -float("inf"), -0.0],
+                                       # rows of ints, and rows that hold something else
+                                       [[1, 2], (3,)], [[1], []], [[1, True]], [[1], [2.0]],
+                                       [(1, 2), "ab"], {"a": [[-1, 10 ** 20], (0, 0)]}])
     def test_corner_values(self, value):
         assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 

@@ -274,6 +274,75 @@ class TestPlainGraphText:
             parse_graph(text)
 
 
+@st.composite
+def decomposition_texts(draw):
+    """.td text as ``emit_decomposition`` writes it, or with one defect or
+    one change the line reader accepts."""
+    k = draw(st.integers(0, 6))
+    bags = [tuple(sorted(draw(st.sets(st.integers(0, 8), max_size=4)))) for _ in range(k)]
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    lines = emit_decomposition(TreeDecomposition(tuple(bags), tuple(edges)), 9).splitlines()
+    kind = draw(st.sampled_from(["canonical", "reordered", "crlf", "comment", "blank",
+                                 "duplicate-id", "missing-id", "truncated", "oversized"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "reordered" and k:
+        i = draw(st.integers(1, k))
+        b, tail = lines[i].split()[:2], lines[i].split()[2:]
+        lines[i] = " ".join(b + draw(st.permutations(tail)))
+    elif kind == "comment":
+        lines.insert(at + draw(st.integers(0, 1)), "c " + draw(st.sampled_from(["", "b 1 1", "1 2"])))
+    elif kind == "blank":
+        lines.insert(at + draw(st.integers(0, 1)), draw(st.sampled_from(["", " ", "\t"])))
+    elif kind in ("duplicate-id", "missing-id") and k:
+        i = draw(st.integers(1, k))
+        if kind == "duplicate-id":
+            lines.insert(i, lines[i])
+        else:
+            del lines[i]
+    elif kind == "truncated":
+        lines[at] = lines[at][:draw(st.integers(0, max(len(lines[at]) - 1, 0)))]
+    elif kind == "oversized":
+        head = lines[0].split()
+        head[2] = str(draw(st.sampled_from([k + 1, 10 ** 12, 10 ** 18])))
+        lines[0] = " ".join(head)
+    end = "\r\n" if kind == "crlf" else "\n"
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _parsed(parse, text):
+    """``parse(text)``, or the message of the FormatError it raised."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+class TestOnePassDecompositionText:
+    """.td text is read in one pass where it is canonical, to what the line reader reads."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(decomposition_texts())
+    def test_the_one_pass_reader_returns_what_the_line_reader_returns(self, text):
+        assert _parsed(parse_decomposition, text) == \
+            _parsed(formats._parse_decomposition_lines, text)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 6), st.data())
+    def test_canonical_text_is_read_without_the_line_reader(self, k, data):
+        bags = tuple(tuple(sorted(data.draw(st.sets(st.integers(0, 8), max_size=4))))
+                     for _ in range(k))
+        d = TreeDecomposition(bags, tuple((data.draw(st.integers(0, i - 1)), i)
+                                          for i in range(1, k)))
+        text = emit_decomposition(d, 9)
+
+        def refuse(text):
+            raise AssertionError("canonical text fell back to the line reader")
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(formats, "_parse_decomposition_lines", refuse)
+            assert parse_decomposition(text) == (d, 9 if k else 0)
+
+
 class TestGenerators:
     def test_grid_3x3_shape(self):
         g = grid(3, 3)

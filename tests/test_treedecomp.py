@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from edgesep import (Graph, LineView, attach_vertex, glue, line_graph,
                      partition_line_graph, product_blowup, validate_decomposition,
                      width)
-from edgesep.generators import grid, random_tree
-from edgesep.treedecomp import Decomposition, TreeDecomposition, least_common_node
+from edgesep import treedecomp
+from edgesep.formats import emit_decomposition
+from edgesep.generators import cycle, grid, outerplanar, random_tree, star, toroidal_grid
+from edgesep.treedecomp import (Decomposition, TreeDecomposition, least_common_node,
+                                validate_blowup)
 from reference_validators import outcome
 from reference_validators import validate_decomposition as reference_validate_decomposition
 
@@ -523,3 +526,63 @@ class TestSetFreeValidation:
         root = data.draw(st.lists(st.integers(0, g.n - 1), max_size=3).map(tuple))
         d = d._replace(designated=node, root_clique=root)
         assert validate_decomposition(g, d) == reference_validate_decomposition(g, d)
+
+
+@st.composite
+def factored_instances(draw):
+    """A graph and H's decomposition and parts as the pipeline returns them,
+    or with one mutation: an edge moved to another part, a part removed
+    from every bag, a tree edge dropped or repeated, or a part id out of
+    range put in a bag."""
+    family = draw(st.sampled_from(["tree", "outerplanar", "grid", "cycle", "star", "toroidal"]))
+    n = draw(st.integers(3, 24))
+    g = {"tree": lambda: random_tree(n, draw(st.integers(0, 99))),
+         "outerplanar": lambda: outerplanar(n, draw(st.integers(0, 99))),
+         "grid": lambda: grid(draw(st.integers(1, 5)), draw(st.integers(2, 6))),
+         "cycle": lambda: cycle(n),
+         "star": lambda: star(n),
+         "toroidal": lambda: toroidal_grid(3, draw(st.integers(3, 5)))}[family]()
+    res = partition_line_graph(g, draw(st.integers(4, 6)))
+    assume(not hasattr(res, "branch_sets"))         # certificates have no blow-up
+    d, parts = res.partition.decomp, list(res.partition.parts)
+    bags, edges = list(d.bags), list(d.tree_edges)
+    kind = draw(st.sampled_from(["none", "move", "unplace", "drop-edge", "repeat-edge",
+                                 "out-of-range"]))
+    if kind == "move" and len(parts) > 1:
+        i, j = draw(st.permutations(range(len(parts))))[:2]
+        e = draw(st.sampled_from(parts[i]))
+        parts[i] = tuple(x for x in parts[i] if x != e)
+        parts[j] = tuple(sorted(parts[j] + (e,)))
+    elif kind == "unplace":
+        pid = draw(st.integers(0, len(parts) - 1))
+        bags = [tuple(x for x in bag if x != pid) for bag in bags]
+    elif kind == "drop-edge" and edges:
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif kind == "repeat-edge" and edges:
+        a, b = draw(st.sampled_from(edges))
+        edges.append(draw(st.sampled_from([(a, b), (b, a)])))
+    elif kind == "out-of-range":
+        node = draw(st.integers(0, len(bags) - 1))
+        bags[node] = tuple(sorted(bags[node] + (draw(st.sampled_from([-1, len(parts)])),)))
+    d = d._replace(bags=tuple(bags), tree_edges=tuple(edges))
+    return g, d, tuple(parts), kind
+
+
+class TestFactoredBlowup:
+    """``validate_blowup`` and ``emit_decomposition(d, m, parts)`` read (D_H,
+    parts), with the verdict, width and text of the blow-up itself."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(factored_instances())
+    def test_the_factored_check_gets_the_blowups_verdict_width_and_text(self, inst):
+        g, d, parts, kind = inst
+
+        def blown_verdict():
+            blowup = product_blowup(d, parts)
+            return (*validate_decomposition(LineView(g), blowup), width(blowup))
+
+        assert outcome(validate_blowup, g, d, parts) == outcome(blown_verdict)
+        assert outcome(emit_decomposition, d, g.m, parts) == \
+            outcome(lambda: emit_decomposition(product_blowup(d, parts), g.m))
+        if kind == "none":          # the pipeline's own results need no blow-up
+            assert treedecomp._factored_width(g, d, parts) is not None

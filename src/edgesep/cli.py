@@ -27,7 +27,8 @@ from .graphs import Graph, LineView, components, validate_model
 from .partition import (KtCertificate, Params, RootedPartition, _embedding_verdict,
                         _partition_verdict, partition_line_graph, validate_certificate)
 from .separator import _sink_separator, check_weights, isoperimetric_witness, uniform_weights
-from .treedecomp import TreeDecomposition, validate_blowup, validate_decomposition, width
+from .treedecomp import (TreeDecomposition, reduced, validate_blowup,
+                         validate_decomposition, width)
 
 SCHEMA = "edgesep-report/1"
 BOUND_FORMULA = "(t-1)*floor(sqrt((t-3)*m*Delta) + Delta)"
@@ -215,7 +216,9 @@ def _cmd_artifact(args) -> int:
 
 
 def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
-    part, emb = res.partition, res.embedding
+    """The partition with H's ``reduced`` decomposition, checked and written."""
+    part = res.partition._replace(decomp=reduced(res.partition.decomp))
+    emb = res.embedding
     part_of = [-1] * g.m
     ok_p, why_p = _partition_verdict(g, part, res.params, part_of)
     ok_e, why_e = _embedding_verdict(g, part, emb, res.params, part_of if ok_p else None)
@@ -243,9 +246,9 @@ def _partition_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
 
 
 def _tdlg_report(g: Graph, args, res, _weights) -> tuple[dict, int]:
-    """L(G)'s decomposition, the blow-up of H's, checked and written from
-    H's decomposition and the parts without building it."""
-    d, parts = res.partition.decomp, res.partition.parts
+    """L(G)'s decomposition, the blow-up of H's ``reduced`` one, checked and
+    written from H's decomposition and the parts without building it."""
+    d, parts = reduced(res.partition.decomp), res.partition.parts
     ok, why, w = validate_blowup(g, d, parts)
     bound = res.params.separator_bound() - 1
     td_text = emit_decomposition(d, g.m, parts)

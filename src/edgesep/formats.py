@@ -114,25 +114,20 @@ def emit_decomposition(d: TreeDecomposition, n_decomposed: int, parts=None) -> s
     """The .td text of ``d``; given ``parts``, that of ``product_blowup(d, parts)``.
 
     The blown-up text is written from d and the parts, and no blown-up bag
-    is kept: equal bags share one written row, so a bag that recurs at many
-    nodes costs its text once plus the output.
+    is kept: each row is made from its bag's parts as it is written.
     """
     if d.n_nodes == 0:
         return "s td 0 0 0\n"
     # ' v+1' for v = 0, 1, ...: no more of them than there are bag entries
     entries = sum(map(len, d.bags if parts is None else parts))
     labels = [f" {v}" for v in range(1, min(n_decomposed, entries) + 1)]
-    rows: dict = {}                 # per distinct bag: its size and its row's text
+    width_plus = 0
     out = [""]                      # the header goes first, once the width is known
     for i, bag in enumerate(d.bags, 1):
-        key = tuple(bag)
-        row = rows.get(key)
-        if row is None:
-            vs = key if parts is None else sorted(set().union(*map(parts.__getitem__, key)))
-            row = rows[key] = (len(vs), _row_text(vs, labels))
-        out += ("\nb ", str(i), row[1])
+        vs = bag if parts is None else sorted(set().union(*map(parts.__getitem__, bag)))
+        width_plus = max(width_plus, len(vs))
+        out += ("\nb ", str(i), _row_text(vs, labels))
     out.extend(f"\n{a + 1} {b + 1}" for a, b in d.tree_edges)
-    width_plus = max((size for size, _ in rows.values()), default=0)
     out[0] = f"s td {d.n_nodes} {width_plus} {n_decomposed}"
     out.append("\n")
     return "".join(out)

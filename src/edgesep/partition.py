@@ -26,7 +26,7 @@ from .graphs import (Graph, LineView, components, edges_between, max_degree,
 from .tree_or_sep import (Budget, _one_target_tree, edge_tree_or_separator,
                           minimalize_edge_separator)
 from .treedecomp import (Decomposition, TreeDecomposition, attach_vertex,
-                         check_decomposition, glue, product_blowup, width)
+                         check_decomposition, glue, product_blowup, reduced, width)
 
 
 class Params(NamedTuple):
@@ -126,10 +126,11 @@ class PartitionResult(NamedTuple):
 # hands back the call to enter next, its own tree child or the first child of
 # a split, so a path or a tree is peeled in place and no call is ever pushed:
 # the stack holds only the continuations that wait for a node, attaches as
-# (roots, slot) pairs and ``_Join``s.  H and its decomposition grow in a
-# single builder that is frozen once; the ids it hands out are the ones the
-# textbook formulation (each call returns its own partition, parents relabel
-# and glue) produces.
+# (root slots, slot) pairs and ``_Join``s.  An attach keeps its roots' slots
+# alone, so a dropped root's model set and neighborhood die with its call.
+# H and its decomposition grow in a single builder that is frozen once; the
+# ids it hands out are the ones the textbook formulation (each call returns
+# its own partition, parents relabel and glue) produces.
 
 class _Builder:
     """Parts, H-edges and a ``Decomposition`` of H, appended in recursion order.
@@ -165,10 +166,10 @@ class _Builder:
                             for i, a in enumerate(ids) for b in ids[i + 1:])
         return self.decomp.add(ids)
 
-    def attach(self, node: int, roots, slot: int) -> int:
-        """New part adjacent to every root part, as a leaf bag under ``node``."""
+    def attach(self, node: int, root_slots, slot: int) -> int:
+        """New part adjacent to every root slot's part, as a leaf bag under ``node``."""
         clique = []
-        for s, _, _ in roots:
+        for s in root_slots:
             x = self._slots[s]
             clique.append(x if type(x) is int else self.pid(s))
         new = self.pid(slot)
@@ -350,7 +351,7 @@ def _enter(g, params, out: _Builder, call: tuple, stack):
             slot = roots[k][0]
             roots = roots[:k] + roots[k + 1:]
             del targets[k]
-            stack.append((roots, slot))
+            stack.append((tuple(s for s, _, _ in roots), slot))
         h = len(roots)
         measure = 2 * len(c) + h
 
@@ -416,7 +417,8 @@ def _separate(g, params, out: _Builder, piece: _Piece, tos, targets, roots,
     inner: list = [set() for _ in comps]
     for e in piece.edges - f:
         inner[piece_of[g.edges[e][0]]].add(e)
-    children = [((grown[k], roots[k][0]), ([_Piece(cset, edges)], grown[k], measure))
+    attach = {k: (tuple(s for s, _, _ in grown[k]), roots[k][0]) for k in grown}
+    children = [(attach[k], ([_Piece(cset, edges)], grown[k], measure))
                 for cset, k, edges in zip(comps, missing, inner)]
     return _Join(children, [f_slot] + [s for s, _, _ in roots]).launch(stack)
 
@@ -435,8 +437,7 @@ def _run(g, params, out: _Builder, call: tuple):
         while type(x) is int and stack:
             item = stack.pop()
             if type(item) is tuple:
-                roots, slot = item
-                x = out.attach(x, roots, slot)
+                x = out.attach(x, *item)
             else:
                 x = item.resume(out, x, stack)
         if type(x) is not tuple:
@@ -477,11 +478,12 @@ def partition_line_graph(g: Graph, t: int) -> Union[PartitionResult, KtCertifica
 
 def line_graph_tree_decomposition(g: Graph, t: int
                                   ) -> Union[TreeDecomposition, KtCertificate]:
-    """Tree-decomposition of L(G) with width <= (t-1)*floor(p_impl) - 1."""
+    """Tree-decomposition of L(G) with width <= (t-1)*floor(p_impl) - 1,
+    the blow-up of H's ``reduced`` decomposition."""
     res = partition_line_graph(g, t)
     if isinstance(res, KtCertificate):
         return res
-    return product_blowup(res.partition.decomp, res.partition.parts)
+    return product_blowup(reduced(res.partition.decomp), res.partition.parts)
 
 
 # ---------------------------------------------------------------- validators

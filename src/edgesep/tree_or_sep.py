@@ -234,9 +234,13 @@ def _extend_to(layers, parent, tree_verts, tree_edges):
 
     The first tree vertex the search found, read off its ``layers``, and its
     ancestors form a shortest path from the target (module docstring); no
-    ancestor is in the tree, so the union stays acyclic.
+    ancestor is in the tree, so the union stays acyclic.  A one-vertex tree,
+    as every h = 2 search returns, is that vertex, and needs no scan.
     """
-    v = next(v for layer in layers for v in layer if v in tree_verts)
+    if len(tree_verts) == 1:
+        v = next(iter(tree_verts))
+    else:
+        v = next(v for layer in layers for v in layer if v in tree_verts)
     u = parent[v]
     while u is not None:
         tree_edges.append((u, v) if u < v else (v, u))

@@ -212,6 +212,67 @@ def rooted_tree(d: TreeDecomposition) -> tuple[list, list, list]:
     return nbrs, parent, order
 
 
+def reduced(d: TreeDecomposition) -> TreeDecomposition:
+    """``d`` with every tree edge whose one bag lies inside the other
+    contracted into the larger bag.
+
+    No tree edge of the result joins a bag to a superset of it, and its
+    bags are bags of ``d``, so the width is ``d``'s and a tree of two or
+    more nodes has at most as many nodes as vertices: rooted anywhere, each
+    other node holds a vertex its parent lacks, whose subtree tops there.
+    Of two equal bags the smaller node id stays; survivors keep their order
+    and are renumbered 0, 1, ...; the designated node becomes the one that
+    absorbed it.  ``d`` must be a tree whose bags are sorted tuples of
+    distinct members.
+
+    One BFS from node 0 visits each node x after its parent and puts x in
+    its parent's group when x's bag or the group's holds the other; a group
+    keeps its largest bag.  Adjacent groups stay incomparable: by the
+    running intersection property, a group Q next to the parent's group R
+    shares with x only members of R's bag.  So when x's bag holds R's and
+    becomes the group's, Q inside x would put Q inside R, and x inside Q
+    would put R inside Q.
+    The test stamps the group's bag in one list and counts x's stamped
+    members, so no bag is copied into a set.
+    """
+    k = d.n_nodes
+    _, parent, order = rooted_tree(d)
+    if len(order) != k or len(d.tree_edges) != max(k - 1, 0):
+        raise ValueError("reduced: the decomposition is not a tree")
+    bags = d.bags
+    group = list(range(k))          # per node, the first node of its group
+    top = list(range(k))            # per group, the node whose bag it keeps
+    mark = [-1] * (1 + max((b[-1] for b in bags if b), default=-1))
+    stamped = -1                    # the node whose bag ``mark`` holds
+    for x in order[1:]:
+        q = group[parent[x]]
+        r = top[q]
+        if stamped != r:
+            for v in bags[r]:
+                mark[v] = r
+            stamped = r
+        common = 0
+        for v in bags[x]:
+            if mark[v] == r:
+                common += 1
+        inside, holds = common == len(bags[x]), common == len(bags[r])
+        if inside or holds:
+            group[x] = q
+            if holds and (not inside or x < r):
+                top[q] = x
+    new = [-1] * k
+    kept = []
+    for x in range(k):
+        if top[group[x]] == x:
+            new[x] = len(kept)
+            kept.append(bags[x])
+    at = [new[top[q]] for q in group]
+    return TreeDecomposition(
+        bags=tuple(kept), root_clique=d.root_clique,
+        tree_edges=tuple((at[a], at[b]) for a, b in d.tree_edges if at[a] != at[b]),
+        designated=None if d.designated is None else at[d.designated])
+
+
 def least_common_node(node_lists) -> Optional[int]:
     """Least node in every one of ``node_lists``, or None.
 

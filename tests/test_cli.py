@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from edgesep import Graph, cli, graphs, partition, separator, treedecomp
 from edgesep.cli import main
-from edgesep.formats import emit_graph
-from edgesep.generators import (complete, grid, outerplanar, path, random_tree,
+from edgesep.formats import emit_decomposition, emit_graph
+from edgesep.generators import (complete, cycle, grid, outerplanar, path, random_tree,
                                 star, toroidal_grid)
+from edgesep.treedecomp import TreeDecomposition, validate_blowup, width
 
 
 def run_cli(argv):
@@ -624,28 +625,30 @@ class TestDeterminism:
     # sha256 of stdout, recorded before the recursion ran on an explicit
     # stack; part numbering, bags and |F| must not drift.  The tdlg digests
     # were recorded before the artifact commands shared one driver.
+    # The partition and tdlg digests were re-recorded when their
+    # decompositions of H became reduced (grid-12's already was).
     PINNED = {
         "path-300": (lambda: path(300),
-                     "1ecc4e6452733eb43b0bb7e10fc987b5642550921c219e675934effda9df086d",
+                     "e0f582b26f4208e5de48711ca78df0c85b4bb1ae3ad85369b0f4d42b81f05213",
                      "b4fc6297f2f160ca44c3f28ec30fbead435b207c322b1478179184a5c800f57b",
-                     "1a382b6fea0689e55d52d58da97499178c71833f7dd24dc1121ed00b9de05dd0"),
+                     "9e23e41800a2e8ceb69a5ec5644b8fc0f90988e58eb2038e710ea053c3bbcf2f"),
         "grid-12": (lambda: grid(12, 12),
                     "1fe31b5cf722a09b4e87783b626c0ad17dae0b75d4077175ef88f9e2213d99fa",
                     "dcf2ee243c36d891128e9bdc24b0ceda8c0df542a36eaf331d90c66deee6fdee",
                     "e37b8818a2b711256daf8e4c2abea14c913c3f3354210cfb92784c8d89f314b9"),
         # the only instance here whose recursion splits C at a separator
         "grid-20": (lambda: grid(20, 20),
-                    "f04307a274bf14f4459e564ca33ad6ea6cadd14876844219a194a59661afdb58",
+                    "4d1c11e84760444283ef06ce21094d5eff1fa72109cf8306ffd2048716a560f0",
                     "f9e1f408d7141abf2aa57fd308de5ec154588540e8e94946d57c5d0161349d95",
-                    "b5ed8e75c3ff13e0d2e943e8ee045a41b2a2674625fe8f8874b53c26981c6101"),
+                    "1540a71bd5ac17cb84df4cc2b04ee424d1f784a43b798c525e6606b4712e2753"),
         "tree-500": (lambda: random_tree(500, 500),
-                     "64b2aea4b9236f99d6c769ae2fc923e23bb549f5fcd731d078a5265f9ac5f7fc",
+                     "8f6d990db3bd8510a9d1972d589d3791a5b0d21eb801c743d5500850bafc9218",
                      "d31e154ef775670c07a347b236b8505f5bba21a1a7dd14895b1c3ad12d054f3c",
-                     "0bbbc473b1e1fd7d95325f3e20530cd82c82bb8b7a5ae9250991aa634378c8fc"),
+                     "7e0f6a7d2edff6e1132e7aeb6a9106a47a14d3940e9f59520ebdc72fc31662a8"),
         "outerplanar-300": (lambda: outerplanar(300, 300),
-                            "4fc3b50c6c20da4c24fd586470c5426443a459f8da696650ad8a7353fa3862d2",
+                            "ff0f02f4a7e785909cfb5bcf0b48efb7eb5c69df91bb8f8cc8112477e7e524ce",
                             "21ff69be3a500cd39871cd267d12c3d0de821f9fa68bff4eb580e733587eb114",
-                            "5060b1278ad41009e1115445d886b0dde953d12938ed99ecd46fedeafb953748"),
+                            "9967d8b5ed836730d59c4e84d2dceba49e8750e86882cf2a70eb0a3d3339c933"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -661,14 +664,15 @@ class TestDeterminism:
             assert hashlib.sha256(out.encode()).hexdigest() == want, argv[0]
 
     # sha256 of stdout at t = 5, recorded before the tree-or-separator search
-    # was made local; these runs end many searches at a separator
+    # was made local; these runs end many searches at a separator.  The
+    # partition digests were re-recorded when H's decomposition became reduced
     PINNED_LARGE = {
         "grid-32": (lambda: grid(32, 32), {
-            "partition": "37ae431557a56d2f12be710a2fbf5fbaed51ffaed51878bcd04489ff2887fca3",
+            "partition": "a73ad7034a911a4fd920dd52a8fea83cb2285a805c719a407b5d0b323f3f7e7f",
             "separate": "4fac453af57e208c276307695dd3ae493b87dc7160d6e0267493a17cbbe8ef80",
             "iso": "17bad7664e2e235fbc3b3f8acba94f1b62af78f6fb94944e65859b55fb576b88"}),
         "grid-8x60": (lambda: grid(8, 60), {
-            "partition": "fe2339a1810397a6c613fc64577d6c12125f3e545d0c86e62bbca14266527cfa",
+            "partition": "cac034cce51c7bd33d32cff1aeb1e252a8f253794c7219a56c914adc55e182b5",
             "separate": "f4fcca4ee6ae5cd0303ded92d15918e83ab76005961885d3c125d8a86ece3a5a",
             "iso": "03e9d92956f9f6ce5b025ac269f2871268a6ca8b6cf74d5243edb87ac7ff0426"}),
     }
@@ -770,6 +774,75 @@ class TestTdlgWithoutBlowup:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == tdlg_sha
 
+
+class TestReducedDecompositions:
+    """``partition`` and ``tdlg`` emit H's decomposition reduced: no tree edge
+    joins a bag to a superset of it, so it has at most one node per part."""
+
+    @staticmethod
+    def check(g, t: int, where) -> None:
+        """Run partition and tdlg on ``g`` and check the emitted decompositions."""
+        gr, art, td = (str(where / name) for name in ("g.gr", "p.json", "l.td"))
+        with open(gr, "w") as fh:
+            fh.write(emit_graph(g))
+        code, out = run_cli(["partition", gr, "--t", str(t)])
+        if code == 3:
+            return
+        assert code == 0
+        with open(art, "w") as fh:
+            fh.write(out)
+        report = json.loads(out)
+        parts = tuple(map(tuple, report["parts"]))
+        dj = report["decomposition"]
+        d = TreeDecomposition(tuple(map(tuple, dj["bags"])), tuple(map(tuple, dj["tree_edges"])),
+                              dj["designated"], dj["root_clique"])
+        for a, b in d.tree_edges:
+            x, y = set(d.bags[a]), set(d.bags[b])
+            assert not (x <= y or y <= x), (a, b)
+        assert d.n_nodes <= max(1, len(parts))
+        assert width(d) == width(partition.partition_line_graph(g, t).partition.decomp)
+        if report["root_clique"]:
+            assert set(report["root_clique"]) <= set(d.bags[d.designated])
+        assert report["validators"] == {"partition": True, "embedding": True, "violation": None}
+        assert json.loads(run_cli(["verify", "partition", art, "--against", gr])[1])["ok"]
+
+        code, out = run_cli(["tdlg", gr, "--t", str(t), "--td-out", td])
+        assert code == 0
+        tdlg = json.loads(out)
+        assert validate_blowup(g, d, parts) == (True, None, tdlg["width"])
+        assert tdlg["td"] == emit_decomposition(d, g.m, parts)
+        assert json.loads(run_cli(["verify", "td", td, "--line", "--against", gr])[1])["ok"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(["tree", "outerplanar", "grid", "cycle", "star", "path"]),
+           st.integers(3, 40), st.integers(0, 99), st.integers(4, 6))
+    def test_random_graphs(self, tmp_path_factory, family, n, seed, t):
+        g = {"tree": lambda: random_tree(n, seed), "outerplanar": lambda: outerplanar(n, seed),
+             "grid": lambda: grid(2 + seed % 5, 2 + n // 5), "cycle": lambda: cycle(n),
+             "star": lambda: star(n), "path": lambda: path(n)}[family]()
+        self.check(g, t, tmp_path_factory.mktemp("reduced"))
+
+    @pytest.mark.parametrize("name", sorted(TestDeterminism.PINNED)
+                             + sorted(TestDeterminism.PINNED_LARGE))
+    def test_pinned_instances(self, name, tmp_path):
+        make = {**TestDeterminism.PINNED, **TestDeterminism.PINNED_LARGE}[name][0]
+        self.check(make(), 5, tmp_path)
+
+    def test_a_star_is_one_node(self, tmp_path):
+        p = tmp_path / "star.gr"
+        p.write_text(emit_graph(star(2000)))
+        code, out = run_cli(["partition", str(p), "--t", "5"])
+        assert code == 0
+        assert json.loads(out)["decomposition"] == {
+            "bags": [[0]], "tree_edges": [], "designated": 0, "root_clique": [0]}
+
+    def test_separate_searches_the_unreduced_decomposition(self, tmp_path):
+        """The glue connectors are the small bags that make good separators:
+        a sink search on the reduced decomposition finds |F| = 33 here."""
+        p = tmp_path / "g.gr"
+        p.write_text(emit_graph(grid(6, 30)))
+        code, out = run_cli(["separate", str(p), "--t", "5", "--uniform"])
+        assert code == 0 and json.loads(out)["achieved_size"] == 23
 
 
 # JSON values as reports hold them, and the corners json.dumps treats apart

@@ -11,7 +11,7 @@ from edgesep import treedecomp
 from edgesep.formats import emit_decomposition
 from edgesep.generators import cycle, grid, outerplanar, random_tree, star, toroidal_grid
 from edgesep.treedecomp import (Decomposition, TreeDecomposition, least_common_node,
-                                validate_blowup)
+                                reduced, validate_blowup)
 from reference_validators import outcome
 from reference_validators import validate_decomposition as reference_validate_decomposition
 
@@ -586,3 +586,88 @@ class TestFactoredBlowup:
             outcome(lambda: emit_decomposition(product_blowup(d, parts), g.m))
         if kind == "none":          # the pipeline's own results need no blow-up
             assert treedecomp._factored_width(g, d, parts) is not None
+
+
+@st.composite
+def nested_decompositions(draw):
+    """A valid decomposition with nested and empty bags on a random tree.
+
+    Each element lies on the path between two drawn nodes, and the graph
+    joins every two elements that share a bag.  Tree edges come in random
+    order and orientation; the designated node's bag is its root clique.
+    """
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(0, 6))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+    edges = [(b, a) if draw(st.booleans()) else (a, b)
+             for a, b in draw(st.permutations(edges))]
+    bags = [set() for _ in range(k)]
+    for v in range(n):
+        a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        for node in _tree_path(edges, k, a, b):
+            bags[node].add(v)
+    bags = tuple(tuple(sorted(b)) for b in bags)
+    g = Graph(n, sorted({(u, v) for bag in bags for i, u in enumerate(bag) for v in bag[i + 1:]}))
+    designated = draw(st.none() | st.integers(0, k - 1))
+    return g, TreeDecomposition(bags=bags, tree_edges=tuple(edges), designated=designated,
+                                root_clique=None if designated is None else bags[designated])
+
+
+def _nested_edge(d: TreeDecomposition):
+    """A tree edge of ``d`` whose one bag lies inside the other, or None."""
+    for a, b in d.tree_edges:
+        x, y = set(d.bags[a]), set(d.bags[b])
+        if x <= y or y <= x:
+            return a, b
+    return None
+
+
+class TestReduced:
+    """``reduced`` contracts each bag that lies inside a neighbour's."""
+
+    def test_a_bag_inside_both_neighbours_joins_the_first_one_met(self):
+        d = TreeDecomposition(bags=((0, 1), (1,), (1, 2)), tree_edges=((0, 1), (1, 2)),
+                              designated=1, root_clique=(1,))
+        assert reduced(d) == TreeDecomposition(bags=((0, 1), (1, 2)), tree_edges=((0, 1),),
+                                               designated=0, root_clique=(1,))
+
+    @pytest.mark.parametrize("bags, edges, want", [
+        # the BFS meets the smaller id first, then the larger one
+        (((0, 1), (5,), (0, 1)), ((2, 1), (0, 2)), ((0, 1), (5,))),
+        # the BFS meets the larger id first; the smaller one takes its place
+        (((5,), (0, 1), (6,), (0, 1)), ((0, 3), (3, 1), (1, 2)), ((5,), (0, 1), (6,))),
+    ])
+    def test_equal_bags_keep_the_smaller_id(self, bags, edges, want):
+        r = reduced(TreeDecomposition(bags=bags, tree_edges=edges, designated=len(bags) - 1))
+        assert r.bags == want
+        assert r.bags[r.designated] == bags[-1]
+
+    def test_a_chain_of_growing_bags_is_one_node(self):
+        d = TreeDecomposition(bags=((), (0,), (0, 1), (0, 1, 2)),
+                              tree_edges=((0, 1), (1, 2), (2, 3)), designated=0)
+        assert reduced(d) == TreeDecomposition(bags=((0, 1, 2),), tree_edges=(), designated=0)
+
+    def test_the_empty_and_one_node_decompositions_stay(self):
+        for d in (TreeDecomposition((), ()), singleton((0, 2))):
+            assert reduced(d) == d
+
+    @pytest.mark.parametrize("edges", [((0, 1),), ((0, 1), (1, 2), (0, 2)), ((0, 1), (0, 1))])
+    def test_a_forest_or_a_cycle_is_refused(self, edges):
+        d = TreeDecomposition(bags=((0,),) * 3, tree_edges=edges)
+        with pytest.raises(ValueError, match="not a tree"):
+            reduced(d)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(nested_decompositions())
+    def test_a_valid_decomposition_stays_valid_keeps_its_width_and_is_reduced(self, inst):
+        g, d = inst
+        r = reduced(d)
+        assert validate_decomposition(g, r) == (True, None)
+        assert _nested_edge(r) is None
+        assert width(r) == width(d)
+        assert r.n_nodes <= max(1, g.n)
+        kept = iter(d.bags)             # survivors are bags of d, in id order
+        assert all(any(bag == b for b in kept) for bag in r.bags)
+        if d.designated is not None:
+            assert set(d.bags[d.designated]) <= set(r.bags[r.designated])
+        assert reduced(r) == r
